@@ -220,6 +220,9 @@ module Make (P : Protocol.PROTOCOL) = struct
            share their minimizer — starting low makes every later
            rejection a first-slot code mismatch *)
     mutable pruned : int;
+    mutable ties : int;
+        (* syms seen so far in the current search whose image equals the
+           current best; see [search] *)
   }
 
   let make_ctx ~syms ~value_code ~local_code ~pack ~init:(mem0, locals0) =
@@ -251,6 +254,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       best_fresh = false;
       hint = id_index;
       pruned = 0;
+      ties = 1;
     }
 
   let pruned ctx = ctx.pruned
@@ -265,8 +269,8 @@ module Make (P : Protocol.PROTOCOL) = struct
     end
 
   (* (code, value) of the rho_s-image of the value whose code is [c] and
-     whose content is [v]; memoized on (s, c). *)
-  let mapped_v ctx s c v =
+     whose content is [v]; memoized on (s, c). The hit path is inline. *)
+  let mapped_v_slow ctx s c v =
     let row = grow ctx.vtab.(s) c in
     if row != ctx.vtab.(s) then ctx.vtab.(s) <- row;
     match row.(c) with
@@ -277,7 +281,15 @@ module Make (P : Protocol.PROTOCOL) = struct
       row.(c) <- Some cv;
       cv
 
-  let mapped_l ctx s c l =
+  let mapped_v ctx s c v =
+    let row = Array.unsafe_get ctx.vtab s in
+    if c < Array.length row then
+      match Array.unsafe_get row c with
+      | Some cv -> cv
+      | None -> mapped_v_slow ctx s c v
+    else mapped_v_slow ctx s c v
+
+  let mapped_l_slow ctx s c l =
     let row = grow ctx.ltab.(s) c in
     if row != ctx.ltab.(s) then ctx.ltab.(s) <- row;
     match row.(c) with
@@ -287,6 +299,14 @@ module Make (P : Protocol.PROTOCOL) = struct
       let cl = (ctx.local_code l', l') in
       row.(c) <- Some cl;
       cl
+
+  let mapped_l ctx s c l =
+    let row = Array.unsafe_get ctx.ltab s in
+    if c < Array.length row then
+      match Array.unsafe_get row c with
+      | Some cl -> cl
+      | None -> mapped_l_slow ctx s c l
+    else mapped_l_slow ctx s c l
 
   (* Intern the state's codes into the ctx scratch and return its packed
      key (the key of the state AS IS, before canonicalization — what the
@@ -302,6 +322,104 @@ module Make (P : Protocol.PROTOCOL) = struct
     done;
     ctx.pack ctx.vc ctx.lc
 
+  (* The same scratch load from a key the caller already holds: [load]
+     fills the register and local code vectors from it. No interning —
+     the codes are the codec's own. *)
+  let load_codes ctx load = load ctx.vc ctx.lc
+
+  (* Compare the image of the loaded state under sym [s] to the current
+     best, and make it the best if it is strictly smaller. *)
+  let consider ctx mem locals s =
+    let m = Array.length mem and n = Array.length locals in
+    let sym = ctx.syms.(s) in
+    (* first slot where the image differs from best, in code space *)
+    let diff_mem = ref (-1) in
+    let j = ref 0 in
+    while !diff_mem < 0 && !j < m do
+      let src = sym.pi_inv.(!j) in
+      let c, _ = mapped_v ctx s ctx.vc.(src) mem.(src) in
+      if c <> ctx.best_vc.(!j) then diff_mem := !j;
+      incr j
+    done;
+    let diff_loc = ref (-1) in
+    if !diff_mem < 0 then begin
+      let q = ref 0 in
+      while !diff_loc < 0 && !q < n do
+        let src = sym.sigma_inv.(!q) in
+        let c, _ = mapped_l ctx s ctx.lc.(src) locals.(src) in
+        if c <> ctx.best_lc.(!q) then diff_loc := !q;
+        incr q
+      done
+    end;
+    if !diff_mem < 0 && !diff_loc < 0 then ctx.ties <- ctx.ties + 1
+    else begin
+      (* one structural comparison at the first differing slot
+         decides the direction; codes only witness (in)equality *)
+      let c =
+        if !diff_mem >= 0 then begin
+          let j = !diff_mem in
+          let src = sym.pi_inv.(j) in
+          let _, v = mapped_v ctx s ctx.vc.(src) mem.(src) in
+          let bv = if ctx.best_fresh then ctx.best_mem.(j) else mem.(j) in
+          P.Value.compare v bv
+        end
+        else begin
+          let q = !diff_loc in
+          let src = sym.sigma_inv.(q) in
+          let _, l = mapped_l ctx s ctx.lc.(src) locals.(src) in
+          let bl = if ctx.best_fresh then ctx.best_loc.(q) else locals.(q) in
+          P.compare_local l bl
+        end
+      in
+      if c > 0 then ctx.pruned <- ctx.pruned + 1
+      else begin
+        (* new minimum: materialize its image (memoized slot lookups,
+           no fresh value allocation) into the best buffers *)
+        for k = 0 to m - 1 do
+          let src = sym.pi_inv.(k) in
+          let cc, v = mapped_v ctx s ctx.vc.(src) mem.(src) in
+          ctx.best_vc.(k) <- cc;
+          ctx.best_mem.(k) <- v
+        done;
+        for q = 0 to n - 1 do
+          let src = sym.sigma_inv.(q) in
+          let cc, l = mapped_l ctx s ctx.lc.(src) locals.(src) in
+          ctx.best_lc.(q) <- cc;
+          ctx.best_loc.(q) <- l
+        done;
+        ctx.best_fresh <- true;
+        ctx.hint <- s;
+        ctx.ties <- 1
+      end
+    end
+
+  (* The search over the codes [state_key] or [load_codes] loaded: leaves
+     the lex-least image in the best buffers ([best_fresh] iff it is not
+     the state itself) and returns the orbit size. *)
+  let search ctx mem locals =
+    let m = Array.length mem and n = Array.length locals in
+    ctx.best_fresh <- false;
+    for k = 0 to m - 1 do
+      ctx.best_vc.(k) <- ctx.vc.(k)
+    done;
+    for q = 0 to n - 1 do
+      ctx.best_lc.(q) <- ctx.lc.(q)
+    done;
+    (* [ties] = number of syms seen so far whose image equals the current
+       best. Whenever a strictly smaller image appears it resets to 1, so
+       at the end it is exactly the stabilizer order of the minimum (any
+       sym mapping the state to the final best either set it or tied
+       it), and orbit = |G| / |stabilizer|. The identity's image is the
+       state itself, the starting best. *)
+    ctx.ties <- 1;
+    let hint = ctx.hint in
+    if hint <> ctx.id_index then consider ctx mem locals hint;
+    for s = 0 to ctx.order - 1 do
+      if s <> hint && s <> ctx.id_index then consider ctx mem locals s
+    done;
+    assert (ctx.order mod ctx.ties = 0) (* orbit-stabilizer *);
+    ctx.order / ctx.ties
+
   (* Lex-least orbit element of the state whose codes [state_key] just
      loaded, its packed key, and the orbit size. [raw] is the key
      [state_key] returned; it is handed back unchanged when the state is
@@ -309,92 +427,21 @@ module Make (P : Protocol.PROTOCOL) = struct
      returned arrays are the inputs themselves when the state is already
      canonical, fresh copies otherwise — never the scratch buffers. *)
   let canonize_keyed ctx ~raw mem locals =
-    let m = Array.length mem and n = Array.length locals in
-    ctx.best_fresh <- false;
-    Array.blit ctx.vc 0 ctx.best_vc 0 m;
-    Array.blit ctx.lc 0 ctx.best_lc 0 n;
-    (* count = number of syms seen so far whose image equals the current
-       best. Whenever a strictly smaller image appears it resets to 1, so
-       at the end it is exactly the stabilizer order of the minimum (any
-       sym mapping the state to the final best either set it or tied
-       it), and orbit = |G| / |stabilizer|. *)
-    let count = ref 1 in
-    let consider s =
-      if s <> ctx.id_index then begin
-        let sym = ctx.syms.(s) in
-        (* first slot where the image differs from best, in code space *)
-        let diff_mem = ref (-1) in
-        let j = ref 0 in
-        while !diff_mem < 0 && !j < m do
-          let src = sym.pi_inv.(!j) in
-          let c, _ = mapped_v ctx s ctx.vc.(src) mem.(src) in
-          if c <> ctx.best_vc.(!j) then diff_mem := !j;
-          incr j
-        done;
-        let diff_loc = ref (-1) in
-        if !diff_mem < 0 then begin
-          let q = ref 0 in
-          while !diff_loc < 0 && !q < n do
-            let src = sym.sigma_inv.(!q) in
-            let c, _ = mapped_l ctx s ctx.lc.(src) locals.(src) in
-            if c <> ctx.best_lc.(!q) then diff_loc := !q;
-            incr q
-          done
-        end;
-        if !diff_mem < 0 && !diff_loc < 0 then incr count
-        else begin
-          (* one structural comparison at the first differing slot
-             decides the direction; codes only witness (in)equality *)
-          let c =
-            if !diff_mem >= 0 then begin
-              let j = !diff_mem in
-              let src = sym.pi_inv.(j) in
-              let _, v = mapped_v ctx s ctx.vc.(src) mem.(src) in
-              let bv = if ctx.best_fresh then ctx.best_mem.(j) else mem.(j) in
-              P.Value.compare v bv
-            end
-            else begin
-              let q = !diff_loc in
-              let src = sym.sigma_inv.(q) in
-              let _, l = mapped_l ctx s ctx.lc.(src) locals.(src) in
-              let bl = if ctx.best_fresh then ctx.best_loc.(q) else locals.(q) in
-              P.compare_local l bl
-            end
-          in
-          if c > 0 then ctx.pruned <- ctx.pruned + 1
-          else begin
-            (* new minimum: materialize its image (memoized slot lookups,
-               no fresh value allocation) into the best buffers *)
-            for k = 0 to m - 1 do
-              let src = sym.pi_inv.(k) in
-              let cc, v = mapped_v ctx s ctx.vc.(src) mem.(src) in
-              ctx.best_vc.(k) <- cc;
-              ctx.best_mem.(k) <- v
-            done;
-            for q = 0 to n - 1 do
-              let src = sym.sigma_inv.(q) in
-              let cc, l = mapped_l ctx s ctx.lc.(src) locals.(src) in
-              ctx.best_lc.(q) <- cc;
-              ctx.best_loc.(q) <- l
-            done;
-            ctx.best_fresh <- true;
-            ctx.hint <- s;
-            count := 1
-          end
-        end
-      end
-    in
-    let hint = ctx.hint in
-    consider hint;
-    for s = 0 to ctx.order - 1 do
-      if s <> hint then consider s
-    done;
-    assert (ctx.order mod !count = 0) (* orbit-stabilizer *);
-    let orbit = ctx.order / !count in
+    let orbit = search ctx mem locals in
     if ctx.best_fresh then
-      ( Array.sub ctx.best_mem 0 m,
-        Array.sub ctx.best_loc 0 n,
+      ( Array.sub ctx.best_mem 0 (Array.length mem),
+        Array.sub ctx.best_loc 0 (Array.length locals),
         ctx.pack ctx.best_vc ctx.best_lc,
         orbit )
     else (mem, locals, raw, orbit)
+
+  let canonize_into ctx ~repack mem locals =
+    let orbit = search ctx mem locals in
+    if ctx.best_fresh then begin
+      repack ctx.best_vc ctx.best_lc;
+      ( Array.sub ctx.best_mem 0 (Array.length mem),
+        Array.sub ctx.best_loc 0 (Array.length locals),
+        orbit )
+    end
+    else (mem, locals, orbit)
 end

@@ -115,6 +115,15 @@ module Make (P : Anonmem.Protocol.PROTOCOL) : sig
       explorers' raw-successor cache is indexed by. Must be followed by
       {!canonize_keyed} on the same state before the ctx is reused. *)
 
+  val load_codes : ctx -> (int array -> int array -> unit) -> unit
+  (** [load_codes ctx load] loads the ctx scratch like {!state_key} does,
+      from a packed key the caller already holds: [load vcodes lcodes]
+      must fill the register and local code vectors ({!Codec.Make.unpack}).
+      The explorers use it on a raw-successor memo miss, where the
+      successor's key was patched from its parent's and interning again
+      would be wasted work. Must be followed by {!canonize_into} (or
+      {!canonize_keyed}) on the same state. *)
+
   val canonize_keyed :
     ctx -> raw:string -> P.Value.t array -> P.local array ->
     P.Value.t array * P.local array * string * int
@@ -126,6 +135,18 @@ module Make (P : Anonmem.Protocol.PROTOCOL) : sig
       once. Agrees with {!canonize} on representative and orbit. Returns
       the input arrays themselves when the state is already canonical,
       fresh copies otherwise. *)
+
+  val canonize_into :
+    ctx ->
+    repack:(int array -> int array -> unit) ->
+    P.Value.t array -> P.local array ->
+    P.Value.t array * P.local array * int
+  (** {!canonize_keyed} for a caller that keeps its key in a buffer of
+      its own: instead of packing a fresh key string, it hands the
+      representative's register and local code vectors to [repack] —
+      only when the representative is not the state itself, whose key
+      the caller already holds. Returns the representative and the orbit
+      size, with the same sharing as {!canonize_keyed}. *)
 
   val pruned : ctx -> int
   (** Automorphisms rejected at their first differing slot without an

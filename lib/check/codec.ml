@@ -148,6 +148,34 @@ module Make (P : Protocol.PROTOCOL) = struct
     done;
     Bytes.unsafe_to_string b
 
+  (* In-place re-pack of one slot of a key [encode] laid out for [m]
+     registers: a successor differs from its parent in one local and at
+     most one register, so its key is the parent's with one or two slots
+     patched — byte-identical to [encode] of the successor, because
+     interning is by structural order. Slots below [m] are registers. *)
+  let patch t key ~m slot code =
+    put ~kind:(if slot < m then "value" else "local") ~width:t.width key slot
+      code
+
+  let unpack t key vcodes lcodes =
+    let width = t.width and m = Array.length vcodes in
+    let n = Array.length lcodes in
+    if Bytes.length key < width * (m + n) then
+      invalid_arg "Codec.unpack: key too short";
+    for i = 0 to m + n - 1 do
+      let o = width * i in
+      let c =
+        Char.code (Bytes.unsafe_get key o)
+        lor (Char.code (Bytes.unsafe_get key (o + 1)) lsl 8)
+        lor (Char.code (Bytes.unsafe_get key (o + 2)) lsl 16)
+      in
+      let c =
+        if width = 4 then c lor (Char.code (Bytes.unsafe_get key (o + 3)) lsl 24)
+        else c
+      in
+      if i < m then vcodes.(i) <- c else lcodes.(i - m) <- c
+    done
+
   let encode_solo t ~proc local mem =
     let width = t.width in
     let m = Array.length mem in

@@ -14,6 +14,13 @@
     comparable, and nothing outside one exploration may rely on a
     particular code assignment.
 
+    The explorers' engines never re-encode a successor from scratch: its
+    key is the parent's with the changed slots re-packed ({!Make.patch}),
+    probed against the packed visited set {!Store}. The string-keyed
+    [encode]-per-candidate path survives only in the reference explorer
+    ([Explore.Make.explore] without checkpoint options), which the test
+    suite runs as the independent oracle of the keyed engines.
+
     The tables are lock-free (persistent maps behind [Atomic.t] with
     CAS-extension) and safe to share across domains. *)
 
@@ -48,6 +55,19 @@ module Make (P : Anonmem.Protocol.PROTOCOL) : sig
       they were interned from. Used by the incremental canonizer, which
       works on codes and never re-touches the values.
       @raise Overflow as for [encode]. *)
+
+  val patch : t -> Bytes.t -> m:int -> int -> int -> unit
+  (** [patch t key ~m slot code] re-packs slot [slot] of [key] (laid out
+      as by [encode] for [m] registers: slots below [m] are registers,
+      the rest locals) to hold [code]. The explorers derive a successor's
+      key from its parent's by patching the one or two slots a step
+      changes; the result is byte-identical to [encode] of the successor.
+      @raise Overflow as for [encode], naming the slot's table. *)
+
+  val unpack : t -> Bytes.t -> int array -> int array -> unit
+  (** [unpack t key vcodes lcodes] reads [key]'s register codes into
+      [vcodes] and its local codes into [lcodes] (their lengths give
+      [m] and [n]): the inverse of [key_of_codes]. *)
 
   val encode_solo : t -> proc:int -> P.local -> P.Value.t array -> string
   (** Key for a (process, local state, memory) triple — the full input of

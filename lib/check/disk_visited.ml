@@ -58,7 +58,28 @@ let would_exceed_quota t ~adding =
   | None -> false
   | Some q -> t.bytes + adding > q
 
+(* A run is only as good as its order: [probe] merges it against sorted
+   candidates with [compare_at], so a key of the wrong width or out of
+   byte order would silently be missed — a duplicate counted as a new
+   state. Checked before anything is written. *)
+let check_run t keys =
+  Array.iteri
+    (fun i k ->
+      if String.length k <> t.key_len then
+        invalid_arg
+          (Printf.sprintf
+             "Disk_visited.spill: key %d is %d bytes, the store holds %d-byte \
+              keys"
+             i (String.length k) t.key_len);
+      if i > 0 && String.compare keys.(i - 1) k >= 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Disk_visited.spill: keys %d and %d are not strictly ascending"
+             (i - 1) i))
+    keys
+
 let spill t ~fingerprint ~descr keys =
+  check_run t keys;
   let file = run_file t.next_run in
   let payload_bytes = Array.length keys * t.key_len in
   (* defensive: the explorer checks [would_exceed_quota] BEFORE sorting

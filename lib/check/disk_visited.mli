@@ -50,7 +50,10 @@ val spill :
   t -> fingerprint:Digest.t -> descr:string -> string array -> unit
 (** [spill t ~fingerprint ~descr keys] durably writes [keys] — sorted
     ascending, each [key_len] bytes, disjoint from every existing run —
-    as the next immutable run. Raises {!Snapshot.Error} on I/O failure,
+    as the next immutable run. Raises [Invalid_argument], before writing
+    anything, when a key is not [key_len] bytes or the keys are not
+    strictly ascending by bytes ([String.compare]): {!probe} would
+    misread such a run. Raises {!Snapshot.Error} on I/O failure,
     or ([Io _]) if the spill would breach the byte quota (callers are
     expected to check {!would_exceed_quota} first — the raise is a
     last-ditch refusal, never silent breach). *)

@@ -8,6 +8,33 @@ type engine = Barrier | Sharded
 
 let engine_tag = function Barrier -> "barrier" | Sharded -> "sharded"
 
+(* Growable array; [dummy] fills spare capacity so cleared slots hold no
+   stale references. *)
+module Vec = struct
+  type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
+
+  let create dummy = { data = [||]; len = 0; dummy }
+  let length v = v.len
+  let get v i = v.data.(i)
+
+  let push v x =
+    if v.len = Array.length v.data then begin
+      let data = Array.make (max 16 (2 * v.len)) v.dummy in
+      Array.blit v.data 0 data 0 v.len;
+      v.data <- data
+    end;
+    v.data.(v.len) <- x;
+    v.len <- v.len + 1
+
+  let truncate v n =
+    if n < v.len then begin
+      Array.fill v.data n (v.len - n) v.dummy;
+      v.len <- n
+    end
+
+  let clear v = truncate v 0
+end
+
 module Make (P : Protocol.PROTOCOL) = struct
   module Cd = Codec.Make (P)
   module Cn = Canon.Make (P)
@@ -110,10 +137,22 @@ module Make (P : Protocol.PROTOCOL) = struct
 
   let canon_degraded ~n = Cn.degraded ~n
 
-  (* Per-domain reduction context: the incremental canonizer plus a memo
-     of raw successors already canonized. Reconstructible from the
-     configuration alone — never serialized into snapshots; a resumed run
-     starts with cold caches and produces the same graph bit for bit. *)
+  (* The incremental canonizer of a non-trivial group, or [None]. *)
+  let make_inc codec syms st0 =
+    match syms with
+    | [] | [ _ ] -> None
+    | syms ->
+      Some
+        (Cn.make_ctx ~syms
+           ~value_code:(Cd.value_code codec)
+           ~local_code:(Cd.local_code codec)
+           ~pack:(Cd.key_of_codes codec)
+           ~init:(st0.mem, st0.locals))
+
+  (* The reference explorer's reduction context: the incremental
+     canonizer plus a string-keyed memo of raw successors already
+     canonized. Reconstructible from the configuration alone — never
+     serialized; the engines keep the packed equivalent in [keyed]. *)
   type canon_cache = {
     inc : Cn.ctx option;  (* [Some] iff the group is non-trivial *)
     memo : (string, state * string * int) Hashtbl.t;
@@ -125,17 +164,7 @@ module Make (P : Protocol.PROTOCOL) = struct
   let canon_memo_cap = 1 lsl 20
 
   let make_canon_cache codec syms st0 =
-    let inc =
-      match syms with
-      | [] | [ _ ] -> None
-      | syms ->
-        Some
-          (Cn.make_ctx ~syms
-             ~value_code:(Cd.value_code codec)
-             ~local_code:(Cd.local_code codec)
-             ~pack:(Cd.key_of_codes codec)
-             ~init:(st0.mem, st0.locals))
-    in
+    let inc = make_inc codec syms st0 in
     {
       inc;
       memo = Hashtbl.create (match inc with None -> 1 | Some _ -> 4096);
@@ -164,6 +193,241 @@ module Make (P : Protocol.PROTOCOL) = struct
         if Hashtbl.length cc.memo >= canon_memo_cap then Hashtbl.reset cc.memo;
         Hashtbl.add cc.memo raw (rep, key, orbit);
         (rep, key, orbit))
+
+  (* ---------------------------------------------------------------- *)
+  (* keyed successors                                                  *)
+  (* ---------------------------------------------------------------- *)
+
+  (* The engines' successor path. A successor differs from its parent in
+     one local and at most one register, so its packed key is the
+     parent's with those slots re-packed ([Cd.patch]) — byte-identical to
+     [Cd.encode] of the successor — and the boxed successor is built only
+     when someone asks for it: a fresh state, a canonization, or the
+     structural owner hash of a multi-shard run. [successors] above stays
+     as it is: [explore_basic] runs it as the independent string-keyed
+     oracle these engines are cross-checked against. *)
+
+  (* Raw-successor memo of the keyed path where ids are not known as a
+     candidate is produced (the parallel phases, the external engine):
+     raw key -> canonical key, representative and orbit size, as a packed
+     store with parallel columns. Bounded like [canon_cache]'s memo, and
+     as invisible: it only ever short-cuts a canonization. Per domain,
+     never serialized; a resumed run starts cold and explores the same
+     graph. The sequential single-store generation needs no memo: it
+     files raw keys as aliases in its visited store (see [explore_impl]),
+     so a repeat costs one probe, like a Full candidate. *)
+  type memo = {
+    raw : Store.t;
+    mutable canon_keys : Bytes.t;  (* entry e's canonical key at e * len *)
+    reps : state Vec.t;
+    orbs : int Vec.t;
+  }
+
+  (* Per-domain successor context. [k_key] holds the key of the current
+     successor — canonical when the context has a memo — and the mutable
+     delta fields describe the successor against [k_st], enough to build
+     it on demand ([keyed_rep]) without a closure. *)
+  type keyed = {
+    k_codec : Cd.t;
+    k_inc : Cn.ctx option;  (* [Some] iff the group is non-trivial *)
+    k_memo : memo option;  (* [Some] iff [k_inc] is and [~memo] was set *)
+    mutable k_hits : int;  (* memo hits *)
+    k_m : int;
+    k_len : int;
+    k_parent : Bytes.t;  (* packed key of the state being expanded *)
+    k_key : Bytes.t;
+    k_canon : Bytes.t;  (* canonical key, when not [k_key] itself *)
+    k_load : int array -> int array -> unit;  (* [k_key]'s codes *)
+    k_repack : int array -> int array -> unit;  (* codes into [k_canon] *)
+    k_labels : label array;  (* index [2 * proc + enters_cs] *)
+    mutable k_st : state;
+    mutable k_proc : int;
+    mutable k_local : P.local;
+    mutable k_phys : int;  (* written register, or -1 *)
+    mutable k_value : P.Value.t;
+    mutable k_rep : state;  (* valid iff [k_built] *)
+    mutable k_built : bool;
+    mutable k_orbit : int;
+  }
+
+  (* [~memo]: canonize every successor as it is produced, through a
+     memo, for consumers that cannot alias raw keys themselves. *)
+  let make_keyed ~memo codec syms st0 =
+    let m = Array.length st0.mem and n = Array.length st0.locals in
+    let len = Cd.width codec * (m + n) in
+    let key = Bytes.create len and canon = Bytes.create len in
+    let inc = make_inc codec syms st0 in
+    {
+      k_codec = codec;
+      k_inc = inc;
+      k_hits = 0;
+      k_memo =
+        (if memo && inc <> None then
+           Some
+             {
+               raw = Store.create ~key_len:len ();
+               canon_keys = Bytes.create (64 * len);
+               reps = Vec.create st0;
+               orbs = Vec.create 0;
+             }
+         else None);
+      k_m = m;
+      k_len = len;
+      k_parent = Bytes.create len;
+      k_key = key;
+      k_canon = canon;
+      k_load = (fun vcodes lcodes -> Cd.unpack codec key vcodes lcodes);
+      k_repack =
+        (fun vcodes lcodes ->
+          for k = 0 to m - 1 do
+            Cd.patch codec canon ~m k vcodes.(k)
+          done;
+          for q = 0 to n - 1 do
+            Cd.patch codec canon ~m (m + q) lcodes.(q)
+          done);
+      k_labels =
+        Array.init (2 * n) (fun i -> { proc = i / 2; enters_cs = i land 1 = 1 });
+      k_st = st0;
+      k_proc = 0;
+      k_local = st0.locals.(0);
+      k_phys = -1;
+      k_value = P.Value.init;
+      k_rep = st0;
+      k_built = true;
+      k_orbit = 1;
+    }
+
+  (* [st]'s key into [k_parent]: the one encode per expanded state of the
+     paths whose visited set does not hold every parent's key. *)
+  let load_parent kx st =
+    Bytes.blit_string (Cd.encode kx.k_codec st.mem st.locals) 0 kx.k_parent 0
+      kx.k_len
+
+  (* The current successor's state (its representative under Canon),
+     built on first demand. *)
+  let keyed_rep kx =
+    if not kx.k_built then begin
+      kx.k_rep <-
+        (if kx.k_phys >= 0 then
+           with_write kx.k_st kx.k_proc kx.k_local kx.k_phys kx.k_value
+         else with_local kx.k_st kx.k_proc kx.k_local);
+      kx.k_built <- true
+    end;
+    kx.k_rep
+
+  (* Canonize the current successor, whose raw key is in [k_key]: sets
+     its representative and orbit, and returns whether it is canonical
+     itself; if not, its canonical key is left in [k_canon]. The parent
+     is canonical, so [k_key] is exactly the raw key [Cn.state_key] would
+     build: its codes are loaded from it, never re-interned. *)
+  let keyed_canonize kx inc =
+    let st = keyed_rep kx in
+    Cn.load_codes inc kx.k_load;
+    let mem, locals, orbit =
+      Cn.canonize_into inc ~repack:kx.k_repack st.mem st.locals
+    in
+    kx.k_orbit <- orbit;
+    mem == st.mem
+    ||
+    (kx.k_rep <- { mem; locals };
+     false)
+
+  (* Canonize the current successor in place, through the memo. *)
+  let canon_keyed kx inc memo =
+    let len = kx.k_len in
+    let e = Store.find memo.raw kx.k_key 0 in
+    if e >= 0 then begin
+      kx.k_hits <- kx.k_hits + 1;
+      Bytes.blit memo.canon_keys (e * len) kx.k_key 0 len;
+      kx.k_rep <- Vec.get memo.reps e;
+      kx.k_built <- true;
+      kx.k_orbit <- Vec.get memo.orbs e
+    end
+    else begin
+      let canonical = keyed_canonize kx inc in
+      (* Columns first, raw key last: an exception in between (an
+         allocation failure) leaves the columns one entry long, which the
+         next insertion trims back, so no raw key is ever found without
+         its columns. *)
+      if Store.length memo.raw >= canon_memo_cap then Store.reset memo.raw;
+      let e = Store.length memo.raw in
+      Vec.truncate memo.reps e;
+      Vec.truncate memo.orbs e;
+      if (e + 1) * len > Bytes.length memo.canon_keys then
+        memo.canon_keys <-
+          Bytes.extend memo.canon_keys 0 (Bytes.length memo.canon_keys);
+      Bytes.blit
+        (if canonical then kx.k_key else kx.k_canon)
+        0 memo.canon_keys (e * len) len;
+      Vec.push memo.reps kx.k_rep;
+      Vec.push memo.orbs kx.k_orbit;
+      ignore (Store.add memo.raw kx.k_key 0);
+      if not canonical then Bytes.blit kx.k_canon 0 kx.k_key 0 len
+    end
+
+  let emit kx f proc before_crit l phys v =
+    kx.k_proc <- proc;
+    kx.k_local <- l;
+    kx.k_phys <- phys;
+    kx.k_value <- v;
+    kx.k_built <- false;
+    kx.k_orbit <- 1;
+    let key = kx.k_key and codec = kx.k_codec and m = kx.k_m in
+    Bytes.blit kx.k_parent 0 key 0 kx.k_len;
+    Cd.patch codec key ~m (m + proc) (Cd.local_code codec l);
+    if phys >= 0 then Cd.patch codec key ~m phys (Cd.value_code codec v);
+    (match (kx.k_inc, kx.k_memo) with
+    | Some inc, Some memo -> canon_keyed kx inc memo
+    | _ -> ());
+    let cs = (not before_crit) && P.status l = Protocol.Critical in
+    f kx.k_labels.((2 * proc) + Bool.to_int cs)
+
+  (* The root of an exploration through the same path: [st]'s canonical
+     key in [k_key], and its representative and orbit. *)
+  let keyed_root kx st =
+    load_parent kx st;
+    Bytes.blit kx.k_parent 0 kx.k_key 0 kx.k_len;
+    kx.k_rep <- st;
+    kx.k_built <- true;
+    kx.k_orbit <- 1;
+    (match kx.k_inc with
+    | Some inc ->
+      if not (keyed_canonize kx inc) then
+        Bytes.blit kx.k_canon 0 kx.k_key 0 kx.k_len
+    | None -> ());
+    (kx.k_rep, kx.k_orbit)
+
+  let keyed_pruned kx = match kx.k_inc with Some inc -> Cn.pruned inc | None -> 0
+
+  (* [f label] for every successor of [st] (whose key is in [k_parent]),
+     in [successors]' order, with [k_key], [k_orbit] and [keyed_rep]
+     describing that successor for the duration of the call. [P.step] is
+     decoded once per process. *)
+  let each_successor kx cfg st f =
+    let n = Array.length st.locals and m = kx.k_m in
+    kx.k_st <- st;
+    for proc = 0 to n - 1 do
+      let local = st.locals.(proc) in
+      let status = P.status local in
+      if not (Protocol.is_decided status) then begin
+        let before_crit = status = Protocol.Critical in
+        let naming = cfg.namings.(proc) in
+        match P.step ~n ~m ~id:cfg.ids.(proc) local with
+        | Protocol.Read (j, k) ->
+          let l = k st.mem.(Naming.apply naming j) in
+          emit kx f proc before_crit l (-1) P.Value.init
+        | Protocol.Write (j, v, l) ->
+          emit kx f proc before_crit l (Naming.apply naming j) v
+        | Protocol.Rmw (j, g) ->
+          let phys = Naming.apply naming j in
+          let v, l = g st.mem.(phys) in
+          emit kx f proc before_crit l phys v
+        | Protocol.Internal l -> emit kx f proc before_crit l (-1) P.Value.init
+        | Protocol.Coin k ->
+          emit kx f proc before_crit (k true) (-1) P.Value.init;
+          emit kx f proc before_crit (k false) (-1) P.Value.init
+      end
+    done
 
   (* ---------------------------------------------------------------- *)
   (* durable checkpoints                                               *)
@@ -368,7 +632,7 @@ module Make (P : Protocol.PROTOCOL) = struct
      sharded engine: the candidate key [h_ckey] fixes its place in the
      sequential discovery order; the rest is what the owning shard needs
      to resolve it without re-canonizing. *)
-  type handoff = { h_ckey : int; h_key : string; h_rep : state; h_orbit : int }
+  type handoff = { h_ckey : int; h_key : Bytes.t; h_rep : state; h_orbit : int }
 
   let explore_impl ~max_states ~domains ~par_threshold ~reduction ~engine
       ~handoff_batch ~steal_batch ~snapshot_every ~snapshot_to ~resume_from
@@ -429,18 +693,16 @@ module Make (P : Protocol.PROTOCOL) = struct
     let group_order = max 1 (List.length syms) in
     let canon = reduction = Canon in
     let degraded = canon && Cn.degraded ~n:n_procs in
-    (* one reduction context per worker domain: ctxs are single-threaded,
-       the codec behind them is shared (and CAS-safe) *)
-    let ccs =
-      Array.init d (fun _ -> make_canon_cache codec syms (initial cfg))
+    (* one successor/reduction context per worker domain: ctxs are
+       single-threaded, the codec behind them is shared (and CAS-safe) *)
+    let kxs =
+      Array.init d (fun _ -> make_keyed ~memo:(d > 1) codec syms (initial cfg))
     in
+    let key_len = kxs.(0).k_len in
     let sig_pruned () =
-      Array.fold_left
-        (fun acc cc ->
-          acc + match cc.inc with Some i -> Cn.pruned i | None -> 0)
-        0 ccs
+      Array.fold_left (fun acc kx -> acc + keyed_pruned kx) 0 kxs
     in
-    let canon_hits () = Array.fold_left (fun acc cc -> acc + cc.hits) 0 ccs in
+    let canon_hits () = Array.fold_left (fun acc kx -> acc + kx.k_hits) 0 kxs in
     let cutover =
       ref (match resumed with Some sp -> sp.sp_cutover | None -> None)
     in
@@ -490,7 +752,7 @@ module Make (P : Protocol.PROTOCOL) = struct
           ~complete:false ~depths:[] )
     end
     else begin
-      let rep0, _, orbit0 = canonize_cached ccs.(0) codec (initial cfg) in
+      let rep0, orbit0 = keyed_root kxs.(0) (initial cfg) in
       (* Shard s owns every state whose structural hash is s mod d. The
          hash is over the canonical state, NOT the packed codec key:
          codec codes are assigned in racy first-encode order during the
@@ -498,15 +760,57 @@ module Make (P : Protocol.PROTOCOL) = struct
          structural hash is a pure function of the state — shard
          assignment (and the [shard_load] statistic) stays deterministic
          and therefore reproducible across checkpoint/resume. *)
-      let state_owner (st : state) = Hashtbl.hash st mod d in
-      let shard_tbl : (string, int) Hashtbl.t array =
-        Array.init d (fun _ -> Hashtbl.create 1024)
+      let state_owner (st : state) = if d = 1 then 0 else Hashtbl.hash st mod d in
+      (* One packed visited store per shard. With one shard it holds every
+         state, so a parent's key is read back from the arena instead of
+         re-encoded. Under a non-trivial group that single store also
+         files [aliases]: each raw successor key the sequential generation
+         canonized, under the state it resolved to, so a repeat resolves
+         in one probe. Store ids are state ids unless [mapped]: then
+         [shard_ids] maps store ids to state ids, and (aliasing)
+         [state_entry] maps a state id to its own key's store id. *)
+      let shard_tbl = Array.init d (fun _ -> Store.create ~key_len ()) in
+      let aliasing = d = 1 && kxs.(0).k_inc <> None in
+      let mapped = d > 1 || aliasing in
+      let shard_ids = Array.init d (fun _ -> Vec.create 0) in
+      let state_entry = Vec.create 0 in
+      let shard_find s key off =
+        let e = Store.find shard_tbl.(s) key off in
+        if e < 0 || not mapped then e else Vec.get shard_ids.(s) e
       in
-      (* Per-shard scratch: first candidate index of each fresh state seen
-         this generation, so later duplicates resolve to it. *)
-      let scratch : (string, int) Hashtbl.t array =
-        Array.init d (fun _ -> Hashtbl.create 256)
+      (* Columns are appended before the key, so a failure in between
+         leaves them one entry long — trimmed by the next append — and
+         never a key without its id. *)
+      let reserve_id s id =
+        if mapped then begin
+          Vec.truncate shard_ids.(s) (Store.length shard_tbl.(s));
+          Vec.push shard_ids.(s) id
+        end
       in
+      let shard_add s key off id =
+        if aliasing then begin
+          Vec.truncate state_entry id;
+          Vec.push state_entry (Store.length shard_tbl.(s))
+        end;
+        reserve_id s id;
+        let e = Store.add shard_tbl.(s) key off in
+        assert (mapped || e = id)
+      in
+      let n_aliases = ref 0 in
+      let alias key id =
+        (* bounded like the memos *)
+        if !n_aliases < canon_memo_cap then begin
+          reserve_id 0 id;
+          ignore (Store.add shard_tbl.(0) key 0);
+          incr n_aliases
+        end
+      in
+      (* Per-shard scratch: the fresh keys of this generation. The sharded
+         engine uses their store ids as slots; the barrier engine records
+         each one's first candidate index in [scratch_first], so later
+         duplicates resolve to it. *)
+      let scratch = Array.init d (fun _ -> Store.create ~key_len ()) in
+      let scratch_first = Array.init d (fun _ -> Vec.create 0) in
       let b = Parallel.Barrier.create d in
       (* ---- sharded-engine plumbing (allocated only when it can run) --
          One SPSC ring per ordered domain pair carries batched cross-shard
@@ -529,7 +833,7 @@ module Make (P : Protocol.PROTOCOL) = struct
             Array.init sd (fun _ -> Parallel.Spsc.create ~dummy:[||] ring_cap))
       in
       let dummy_handoff =
-        { h_ckey = 0; h_key = ""; h_rep = rep0; h_orbit = 0 }
+        { h_ckey = 0; h_key = Bytes.empty; h_rep = rep0; h_orbit = 0 }
       in
       let out_buf =
         Array.init sd (fun _ ->
@@ -542,17 +846,12 @@ module Make (P : Protocol.PROTOCOL) = struct
         Array.init sd (fun _ -> ref [])
       in
       let sorted_logs : (int * int) array array = Array.make sd [||] in
-      let slot_cnt = Array.make sd 0 in
-      let slot_keys_rev : string list ref array =
-        Array.init sd (fun _ -> ref [])
-      in
       let slot_reps_rev : state list ref array =
         Array.init sd (fun _ -> ref [])
       in
       let slot_orbs_rev : int list ref array =
         Array.init sd (fun _ -> ref [])
       in
-      let slot_keys_arr : string array array = Array.make sd [||] in
       let slot_reps_arr : state array array = Array.make sd [||] in
       let slot_orbs_arr : int array array = Array.make sd [||] in
       (* per-generation: successor labels in position order (disjoint slot
@@ -579,12 +878,14 @@ module Make (P : Protocol.PROTOCOL) = struct
           (Array.sub init_states !n_expanded
              (Array.length init_states - !n_expanded))
       in
-      let succ_lists : (label * state * string * int) list array ref =
+      (* per frontier state: (label, rep, orbit) of each successor, and
+         their keys back to back *)
+      let succ_lists : ((label * state * int) list * Bytes.t) array ref =
         ref [||]
       in
       let offsets = ref [||] in
       let cand_state = ref [||] in
-      let cand_key = ref [||] in
+      let cand_keys = ref Bytes.empty in  (* candidate k's key at k * key_len *)
       let cand_orbit = ref [||] in
       let cand_owner = ref [||] in
       (* resolved.(k): id >= 0 existing state; -1 fresh (first occurrence
@@ -637,8 +938,8 @@ module Make (P : Protocol.PROTOCOL) = struct
          re-canonicalization here. *)
       Array.iteri
         (fun id st ->
-          let key = Cd.encode codec st.mem st.locals in
-          Hashtbl.add shard_tbl.(state_owner st) key id)
+          load_parent kxs.(0) st;
+          shard_add (state_owner st) kxs.(0).k_parent 0 id)
         init_states;
       (* Per-engine setup of a wide (parallel-mode) generation, run by
          the single worker that just closed the previous one — and again
@@ -649,7 +950,7 @@ module Make (P : Protocol.PROTOCOL) = struct
         let nf = Array.length head in
         match engine with
         | Barrier ->
-          succ_lists := Array.make nf [];
+          succ_lists := Array.make nf ([], Bytes.empty);
           trans := Array.make nf []
         | Sharded ->
           gen_labels := Array.make nf [||];
@@ -671,11 +972,9 @@ module Make (P : Protocol.PROTOCOL) = struct
           for s = 0 to d - 1 do
             Atomic.set wl_cursor.(s) 0;
             logs.(s) := [];
-            slot_cnt.(s) <- 0;
-            slot_keys_rev.(s) := [];
             slot_reps_rev.(s) := [];
             slot_orbs_rev.(s) := [];
-            Hashtbl.reset scratch.(s)
+            Store.reset scratch.(s)
           done;
           (* defensive: a previous generation that aborted on a failure
              may have left batches in flight *)
@@ -849,39 +1148,83 @@ module Make (P : Protocol.PROTOCOL) = struct
         let fr = !frontier in
         let nf = Array.length fr in
         let tr = Array.make nf [] in
+        let kx = kxs.(0) in
         let fresh_rev = ref [] in
         let orb_rev = ref [] in
         let ncand = ref 0 and dups = ref 0 and discovered = ref 0 in
+        let out = ref [] in
+        let known dst label =
+          incr dups;
+          out := { dst; label } :: !out
+        in
+        (* intern the current successor under [key] in shard [s]; its id,
+           or -1 when the budget drops it *)
+        let fresh s key label =
+          if !n_states >= max_states then begin
+            complete := false;
+            set_stop Checker_stats.Budget;
+            -1
+          end
+          else begin
+            let id = !n_states in
+            incr n_states;
+            incr discovered;
+            shard_add s key 0 id;
+            orbit_sum := !orbit_sum + kx.k_orbit;
+            fresh_rev := keyed_rep kx :: !fresh_rev;
+            orb_rev := kx.k_orbit :: !orb_rev;
+            out := { dst = id; label } :: !out;
+            id
+          end
+        in
+        let on_succ label =
+          incr ncand;
+          if d > 1 then begin
+            (* the owner hash is the one reason to box a known successor *)
+            let s = state_owner (keyed_rep kx) in
+            let dst = shard_find s kx.k_key 0 in
+            if dst >= 0 then known dst label else ignore (fresh s kx.k_key label)
+          end
+          else begin
+            let dst = shard_find 0 kx.k_key 0 in
+            if dst >= 0 then begin
+              (* under aliasing, a raw key seen before: a canonization
+                 saved, counted like a memo hit *)
+              if aliasing then kx.k_hits <- kx.k_hits + 1;
+              known dst label
+            end
+            else
+              match kx.k_inc with
+              | Some inc when not (keyed_canonize kx inc) ->
+                (* a raw key never seen: alias it to the state its
+                   canonical key resolves to *)
+                let dst = shard_find 0 kx.k_canon 0 in
+                let dst =
+                  if dst >= 0 then begin
+                    known dst label;
+                    dst
+                  end
+                  else fresh 0 kx.k_canon label
+                in
+                if dst >= 0 then alias kx.k_key dst
+              | _ ->
+                (* Full, or a canonical raw key, which the probe above
+                   would have found were the state known *)
+                ignore (fresh 0 kx.k_key label)
+          end
+        in
         for i = 0 to nf - 1 do
           (* fault seam: a matured kill/stall for domain 0 fires here *)
           Resilience.worker_tick ~domain:0;
-          tr.(i) <-
-            List.filter_map
-              (fun (label, st') ->
-                incr ncand;
-                let rep, key, orbit = canonize_cached ccs.(0) codec st' in
-                let tbl = shard_tbl.(state_owner rep) in
-                match Hashtbl.find_opt tbl key with
-                | Some dst ->
-                  incr dups;
-                  Some { dst; label }
-                | None ->
-                  if !n_states >= max_states then begin
-                    complete := false;
-                    set_stop Checker_stats.Budget;
-                    None
-                  end
-                  else begin
-                    let id = !n_states in
-                    incr n_states;
-                    incr discovered;
-                    Hashtbl.add tbl key id;
-                    orbit_sum := !orbit_sum + orbit;
-                    fresh_rev := rep :: !fresh_rev;
-                    orb_rev := orbit :: !orb_rev;
-                    Some { dst = id; label }
-                  end)
-              (successors cfg fr.(i))
+          (if d > 1 then load_parent kx fr.(i)
+           else
+             let id = !n_expanded + i in
+             Store.blit_key shard_tbl.(0)
+               (if aliasing then Vec.get state_entry id else id)
+               kx.k_parent 0);
+          out := [];
+          each_successor kx cfg fr.(i) on_succ;
+          tr.(i) <- List.rev !out
         done;
         finish_gen ~tr
           ~fresh:(Array.of_list (List.rev !fresh_rev))
@@ -921,19 +1264,19 @@ module Make (P : Protocol.PROTOCOL) = struct
          merge time to the occurrence that is first in candidate-key
          order — so arrival order never shows. *)
       let resolve_local shard ~ckey ~key ~rep ~orbit =
-        match Hashtbl.find_opt shard_tbl.(shard) key with
-        | Some id -> log_add shard ckey id
-        | None -> (
-          match Hashtbl.find_opt scratch.(shard) key with
-          | Some slot -> log_add shard ckey (-1 - slot)
-          | None ->
-            let slot = slot_cnt.(shard) in
-            slot_cnt.(shard) <- slot + 1;
-            Hashtbl.add scratch.(shard) key slot;
-            slot_keys_rev.(shard) := key :: !(slot_keys_rev.(shard));
+        let id = shard_find shard key 0 in
+        if id >= 0 then log_add shard ckey id
+        else begin
+          let scr = scratch.(shard) in
+          let slot = Store.find scr key 0 in
+          if slot >= 0 then log_add shard ckey (-1 - slot)
+          else begin
+            let slot = Store.add scr key 0 in
             slot_reps_rev.(shard) := rep :: !(slot_reps_rev.(shard));
             slot_orbs_rev.(shard) := orbit :: !(slot_orbs_rev.(shard));
-            log_add shard ckey (-1 - slot))
+            log_add shard ckey (-1 - slot)
+          end
+        end
       in
       (* Pop every producer's ring into [shard]'s resolution structures.
          Single-consumer discipline: only the shard's current lease
@@ -1002,21 +1345,29 @@ module Make (P : Protocol.PROTOCOL) = struct
       in
       let expand_one ~abort slot ~leased i =
         Resilience.worker_tick ~domain:slot;
-        let succ = successors cfg !frontier.(i) in
-        !gen_labels.(i) <- Array.of_list (List.map fst succ);
+        let kx = kxs.(slot) and st = !frontier.(i) in
+        load_parent kx st;
+        let labels = ref [] and pos = ref 0 in
         let cross = ref 0 in
-        List.iteri
-          (fun pos (_, st') ->
-            let rep, key, orbit = canonize_cached ccs.(slot) codec st' in
+        each_successor kx cfg st (fun label ->
+            labels := label :: !labels;
+            let rep = keyed_rep kx and orbit = kx.k_orbit in
             let o = state_owner rep in
-            let ckey = (i * kmax) + pos in
-            if List.mem o !leased then resolve_local o ~ckey ~key ~rep ~orbit
+            let ckey = (i * kmax) + !pos in
+            incr pos;
+            if List.mem o !leased then
+              resolve_local o ~ckey ~key:kx.k_key ~rep ~orbit
             else begin
               incr cross;
               hand_off ~abort slot ~leased o
-                { h_ckey = ckey; h_key = key; h_rep = rep; h_orbit = orbit }
-            end)
-          succ;
+                {
+                  h_ckey = ckey;
+                  h_key = Bytes.sub kx.k_key 0 key_len;
+                  h_rep = rep;
+                  h_orbit = orbit;
+                }
+            end);
+        !gen_labels.(i) <- Array.of_list (List.rev !labels);
         (* retire the state token and charge the handed-off candidates in
            one atomic step, so [pending] can never dip to 0 with work
            still in flight *)
@@ -1100,7 +1451,6 @@ module Make (P : Protocol.PROTOCOL) = struct
         let arr = Array.of_list !(logs.(me)) in
         Array.sort (fun (a, _) (c, _) -> compare (a : int) c) arr;
         sorted_logs.(me) <- arr;
-        slot_keys_arr.(me) <- Array.of_list (List.rev !(slot_keys_rev.(me)));
         slot_reps_arr.(me) <- Array.of_list (List.rev !(slot_reps_rev.(me)));
         slot_orbs_arr.(me) <- Array.of_list (List.rev !(slot_orbs_rev.(me)))
       in
@@ -1110,7 +1460,9 @@ module Make (P : Protocol.PROTOCOL) = struct
       let merge_and_collect () =
         let nf = Array.length !frontier in
         let gl = !gen_labels in
-        let slot_ids = Array.init d (fun o -> Array.make slot_cnt.(o) (-2)) in
+        let slot_ids =
+          Array.init d (fun o -> Array.make (Store.length scratch.(o)) (-2))
+        in
         let idx = Array.make d 0 in
         let tr = Array.make nf [] in
         let fresh_rev = ref [] and orb_rev = ref [] in
@@ -1155,7 +1507,8 @@ module Make (P : Protocol.PROTOCOL) = struct
                     incr n_states;
                     incr discovered;
                     slot_ids.(o).(s) <- id;
-                    Hashtbl.add shard_tbl.(o) slot_keys_arr.(o).(s) id;
+                    reserve_id o id;
+                    ignore (Store.add_from shard_tbl.(o) ~src:scratch.(o) s);
                     orbit_sum := !orbit_sum + slot_orbs_arr.(o).(s);
                     fresh_rev := slot_reps_arr.(o).(s) :: !fresh_rev;
                     orb_rev := slot_orbs_arr.(o).(s) :: !orb_rev;
@@ -1188,18 +1541,26 @@ module Make (P : Protocol.PROTOCOL) = struct
           ~orbs:(Array.of_list (List.rev !orb_rev))
           ~ncand:!ncand ~dups:!dups ~discovered:!discovered
       in
+      (* Phase A's unit: every successor of [st] as (label, rep, orbit),
+         plus their keys back to back — one buffer per expanded state,
+         not one string per candidate. *)
+      let expand_listed kx st =
+        load_parent kx st;
+        let buf = Bytes.create (kmax * key_len) in
+        let acc = ref [] and cnt = ref 0 in
+        each_successor kx cfg st (fun label ->
+            Bytes.blit kx.k_key 0 buf (!cnt * key_len) key_len;
+            incr cnt;
+            acc := (label, keyed_rep kx, kx.k_orbit) :: !acc);
+        (List.rev !acc, Bytes.sub buf 0 (!cnt * key_len))
+      in
       let phase_a me =
         let fr = !frontier and sl = !succ_lists in
         let nf = Array.length fr in
         let i = ref me in
         while !i < nf do
           Resilience.worker_tick ~domain:me;
-          sl.(!i) <-
-            List.map
-              (fun (label, st') ->
-                let rep, key, orbit = canonize_cached ccs.(me) codec st' in
-                (label, rep, key, orbit))
-              (successors cfg fr.(!i));
+          sl.(!i) <- expand_listed kxs.(me) fr.(!i);
           i := !i + d
         done
       in
@@ -1210,46 +1571,78 @@ module Make (P : Protocol.PROTOCOL) = struct
         let ncand = ref 0 in
         for i = 0 to nf - 1 do
           offs.(i) <- !ncand;
-          ncand := !ncand + List.length sl.(i)
+          ncand := !ncand + List.length (fst sl.(i))
         done;
         let ncand = !ncand in
         let cs = Array.make ncand rep0 in
-        let ck = Array.make ncand "" in
+        let ck = Bytes.create (ncand * key_len) in
         let co = Array.make ncand 0 in
         let ow = Array.make ncand 0 in
         for i = 0 to nf - 1 do
+          let items, keys = sl.(i) in
+          Bytes.blit keys 0 ck (offs.(i) * key_len) (Bytes.length keys);
           List.iteri
-            (fun j (_, st', key, orbit) ->
+            (fun j (_, st', orbit) ->
               cs.(offs.(i) + j) <- st';
-              ck.(offs.(i) + j) <- key;
               co.(offs.(i) + j) <- orbit;
               ow.(offs.(i) + j) <- state_owner st')
-            sl.(i)
+            items
         done;
         offsets := offs;
         cand_state := cs;
-        cand_key := ck;
+        cand_keys := ck;
         cand_orbit := co;
         cand_owner := ow;
         resolved := Array.make ncand (-1);
         cand_id := Array.make ncand (-1)
       in
-      let phase_b me =
-        let ck = !cand_key and ow = !cand_owner and rs = !resolved in
-        let tbl = shard_tbl.(me) and scr = scratch.(me) in
+      (* Phase B's unit: resolve shard [s]'s candidates. It starts from a
+         clean scratch, so a requeued redo is idempotent. *)
+      let phase_b s =
+        let ck = !cand_keys and ow = !cand_owner and rs = !resolved in
+        let scr = scratch.(s) and first = scratch_first.(s) in
+        Store.reset scr;
+        Vec.clear first;
         Array.iteri
           (fun k o ->
-            if o = me then
-              let key = ck.(k) in
-              match Hashtbl.find_opt tbl key with
-              | Some id -> rs.(k) <- id
-              | None -> (
-                match Hashtbl.find_opt scr key with
-                | Some k0 -> rs.(k) <- -2 - k0
-                | None ->
-                  Hashtbl.add scr key k;
-                  rs.(k) <- -1))
+            if o = s then begin
+              let off = k * key_len in
+              let id = shard_find s ck off in
+              if id >= 0 then rs.(k) <- id
+              else
+                let e = Store.find scr ck off in
+                if e >= 0 then rs.(k) <- -2 - Vec.get first e
+                else begin
+                  ignore (Store.add scr ck off);
+                  Vec.push first k;
+                  rs.(k) <- -1
+                end
+            end)
           ow
+      in
+      (* Phase C's first unit: intern shard [s]'s fresh candidates. A key
+         already present is skipped, so a requeued redo is idempotent. *)
+      let insert_fresh s =
+        let ck = !cand_keys and ow = !cand_owner and rs = !resolved
+        and ci = !cand_id in
+        Array.iteri
+          (fun k o ->
+            if o = s && rs.(k) = -1 && ci.(k) >= 0
+               && shard_find s ck (k * key_len) < 0
+            then shard_add s ck (k * key_len) ci.(k))
+          ow
+      in
+      (* Phase C's second unit: the transition lists of frontier state [i]. *)
+      let transitions_of i =
+        let base = !offsets.(i) and ci = !cand_id in
+        let j = ref (-1) in
+        !trans.(i) <-
+          List.filter_map
+            (fun (label, _, _) ->
+              incr j;
+              let dst = ci.(base + !j) in
+              if dst >= 0 then Some { dst; label } else None)
+            (fst !succ_lists.(i))
       in
       (* The one inherently sequential step: replay the candidate scan the
          sequential explorer would have done, in the same order, so fresh
@@ -1293,31 +1686,11 @@ module Make (P : Protocol.PROTOCOL) = struct
         gen_disc := !discovered
       in
       let phase_c me =
-        let ck = !cand_key and ow = !cand_owner and rs = !resolved
-        and ci = !cand_id in
-        let tbl = shard_tbl.(me) in
-        Array.iteri
-          (fun k o ->
-            if o = me && rs.(k) = -1 && ci.(k) >= 0 then
-              Hashtbl.add tbl ck.(k) ci.(k))
-          ow;
-        Hashtbl.reset scratch.(me);
-        let fr = !frontier
-        and sl = !succ_lists
-        and offs = !offsets
-        and tr = !trans in
-        let nf = Array.length fr in
+        insert_fresh me;
+        let nf = Array.length !frontier in
         let i = ref me in
         while !i < nf do
-          let base = offs.(!i) in
-          let j = ref (-1) in
-          tr.(!i) <-
-            List.filter_map
-              (fun (label, _, _, _) ->
-                incr j;
-                let dst = ci.(base + !j) in
-                if dst >= 0 then Some { dst; label } else None)
-              sl.(!i);
+          transitions_of !i;
           i := !i + d
         done
       in
@@ -1612,67 +1985,19 @@ module Make (P : Protocol.PROTOCOL) = struct
               let lo = u * chunk in
               let hi = min nf (lo + chunk) in
               for i = lo to hi - 1 do
-                sl.(i) <-
-                  List.map
-                    (fun (label, st') ->
-                      let rep, key, orbit =
-                        canonize_cached ccs.(slot) codec st'
-                      in
-                      (label, rep, key, orbit))
-                    (successors cfg fr.(i))
+                sl.(i) <- expand_listed kxs.(slot) fr.(i)
               done);
           flatten ();
-          (* B: per-shard resolve; the reset makes a requeued redo start
-             from a clean slate (idempotence) *)
-          run_epoch ~n_units:d (fun _ s ->
-              Hashtbl.reset scratch.(s);
-              let ck = !cand_key and ow = !cand_owner and rs = !resolved in
-              let tbl = shard_tbl.(s) and scr = scratch.(s) in
-              Array.iteri
-                (fun k o ->
-                  if o = s then
-                    let key = ck.(k) in
-                    match Hashtbl.find_opt tbl key with
-                    | Some id -> rs.(k) <- id
-                    | None -> (
-                      match Hashtbl.find_opt scr key with
-                      | Some k0 -> rs.(k) <- -2 - k0
-                      | None ->
-                        Hashtbl.add scr key k;
-                        rs.(k) <- -1))
-                ow);
+          (* B: per-shard resolve *)
+          run_epoch ~n_units:d (fun _ s -> phase_b s);
           assign_ids ();
-          (* C1: per-shard insert; [replace] keeps a redo idempotent *)
-          run_epoch ~n_units:d (fun _ s ->
-              let ck = !cand_key
-              and ow = !cand_owner
-              and rs = !resolved
-              and ci = !cand_id in
-              let tbl = shard_tbl.(s) in
-              Array.iteri
-                (fun k o ->
-                  if o = s && rs.(k) = -1 && ci.(k) >= 0 then
-                    Hashtbl.replace tbl ck.(k) ci.(k))
-                ow;
-              Hashtbl.reset scratch.(s));
+          (* C1: per-shard insert *)
+          run_epoch ~n_units:d (fun _ s -> insert_fresh s);
           (* C2: transition lists, in frontier chunks (disjoint slots) *)
           run_epoch ~n_units:nc (fun _ u ->
-              let sl = !succ_lists
-              and offs = !offsets
-              and ci = !cand_id
-              and tr = !trans in
               let lo = u * chunk in
-              let hi = min nf (lo + chunk) in
-              for i = lo to hi - 1 do
-                let base = offs.(i) in
-                let j = ref (-1) in
-                tr.(i) <-
-                  List.filter_map
-                    (fun (label, _, _, _) ->
-                      incr j;
-                      let dst = ci.(base + !j) in
-                      if dst >= 0 then Some { dst; label } else None)
-                    sl.(i)
+              for i = lo to min nf (lo + chunk) - 1 do
+                transitions_of i
               done);
           collect ()
         in
@@ -1871,7 +2196,9 @@ module Make (P : Protocol.PROTOCOL) = struct
           stats_base ~n_states:bd.b_n_states ~n_transitions
             ~max_depth:bd.b_depth ~max_frontier:bd.b_max_frontier
             ~candidates:bd.b_cand ~dedup_hits:bd.b_dups
-            ~shard_load:(Array.map Hashtbl.length shard_tbl)
+            ~shard_load:
+              (if d = 1 then [| !n_states |]
+               else Array.map Store.length shard_tbl)
             ~complete ~depths:(List.rev bd.b_depths_rev)
         in
         (g, stats)
@@ -2075,13 +2402,10 @@ module Make (P : Protocol.PROTOCOL) = struct
     let group_order = max 1 (List.length syms) in
     let canon = reduction = Canon in
     let degraded = canon && Cn.degraded ~n:n_procs in
-    let cc = make_canon_cache codec syms (initial cfg) in
-    let sig_pruned () =
-      match cc.inc with Some i -> Cn.pruned i | None -> 0
-    in
+    let kx = make_keyed ~memo:true codec syms (initial cfg) in
     (* Visited = hot ∪ runs, disjoint: a key is interned only after both
        proved it absent, and a spill MOVES hot to a run. *)
-    let hot : (string, unit) Hashtbl.t = Hashtbl.create 4096 in
+    let hot = Store.create ~key_len () in
     let n_states = ref 0 in
     let n_transitions = ref 0 in
     let depth = ref 0 in
@@ -2094,7 +2418,8 @@ module Make (P : Protocol.PROTOCOL) = struct
     let complete = ref true in
     (match resumed with
     | Some (sp, _) ->
-      Array.iter (fun k -> Hashtbl.replace hot k ()) sp.xp_hot;
+      (* snapshot keys are immutable strings; the store only reads them *)
+      Array.iter (fun k -> ignore (Store.add hot (Bytes.unsafe_of_string k) 0)) sp.xp_hot;
       n_states := sp.xp_n_states;
       n_transitions := sp.xp_n_transitions;
       depth := sp.xp_depth;
@@ -2106,8 +2431,8 @@ module Make (P : Protocol.PROTOCOL) = struct
       frontier := sp.xp_frontier
     | None ->
       if max_states >= 1 then begin
-        let rep0, key0, orbit0 = canonize_cached cc codec (initial cfg) in
-        Hashtbl.replace hot key0 ();
+        let rep0, orbit0 = keyed_root kx (initial cfg) in
+        ignore (Store.add hot kx.k_key 0);
         n_states := 1;
         orbit_sum := orbit0;
         frontier := [| rep0 |]
@@ -2140,8 +2465,8 @@ module Make (P : Protocol.PROTOCOL) = struct
         degraded;
         group_order;
         orbit_sum = !orbit_sum;
-        sig_pruned = sig_pruned ();
-        canon_hits = cc.hits;
+        sig_pruned = keyed_pruned kx;
+        canon_hits = kx.k_hits;
         cutover = None;
         steals = 0;
         handoffs = 0;
@@ -2149,16 +2474,6 @@ module Make (P : Protocol.PROTOCOL) = struct
         disk_probes = Disk_visited.n_probes dv;
         depths = List.rev !depths_rev;
       }
-    in
-    let hot_keys () =
-      let a = Array.make (Hashtbl.length hot) "" in
-      let i = ref 0 in
-      Hashtbl.iter
-        (fun k () ->
-          a.(!i) <- k;
-          incr i)
-        hot;
-      a
     in
     let last_snapshot_states = ref !n_states in
     let snapshot_gap =
@@ -2180,7 +2495,7 @@ module Make (P : Protocol.PROTOCOL) = struct
           xp_orbit_sum = !orbit_sum;
           xp_elapsed = Checker_stats.now () -. t0;
           xp_codec = Cd.dump codec;
-          xp_hot = hot_keys ();
+          xp_hot = Array.init (Store.length hot) (Store.key hot);
           xp_manifest = Disk_visited.manifest dv;
         }
       in
@@ -2208,17 +2523,14 @@ module Make (P : Protocol.PROTOCOL) = struct
         | Some limit -> heap_bytes () > limit
         | None -> false
       in
-      if Hashtbl.length hot > 0 && (Hashtbl.length hot >= hot_cap || pressured)
-      then
-        if
-          Disk_visited.would_exceed_quota dv
-            ~adding:(Hashtbl.length hot * key_len)
-        then `Quota_hit
+      let nh = Store.length hot in
+      if nh > 0 && (nh >= hot_cap || pressured) then
+        if Disk_visited.would_exceed_quota dv ~adding:(nh * key_len) then
+          `Quota_hit
         else begin
-          let keys = hot_keys () in
-          Array.sort compare keys;
-          Disk_visited.spill dv ~fingerprint:digest ~descr keys;
-          Hashtbl.reset hot;
+          Disk_visited.spill dv ~fingerprint:digest ~descr
+            (Store.sorted_keys hot);
+          Store.reset hot;
           if pressured then Gc.compact ();
           `Spilled
         end
@@ -2229,41 +2541,43 @@ module Make (P : Protocol.PROTOCOL) = struct
        degradation path (mid-generation state is not exact). *)
     let last_exact = ref (capture ~complete:!complete) in
     if Array.length !frontier = 0 then stop := true;
+    (* Per-generation classification of the candidates: [cls] holds, per
+       candidate, -1 when hot already knows its key, else the id of its
+       key in [unknown] — a store of the generation's distinct keys
+       absent from hot, with each one's first candidate index, state and
+       orbit alongside. *)
+    let unknown = Store.create ~key_len () in
+    let cls = Vec.create 0 in
+    let first = Vec.create 0 in
+    let u_reps = Vec.create (initial cfg) in
+    let u_orbs = Vec.create 0 in
+    let classify _label =
+      if Store.find hot kx.k_key 0 >= 0 then Vec.push cls (-1)
+      else begin
+        let e = Store.find unknown kx.k_key 0 in
+        if e >= 0 then Vec.push cls e
+        else begin
+          Vec.push cls (Store.add unknown kx.k_key 0);
+          Vec.push first (Vec.length cls - 1);
+          Vec.push u_reps (keyed_rep kx);
+          Vec.push u_orbs kx.k_orbit
+        end
+      end
+    in
     let run_generation () =
       let fr = !frontier in
       let nf = Array.length fr in
+      Store.reset unknown;
+      List.iter Vec.clear [ cls; first; u_orbs ];
+      Vec.clear u_reps;
       (* expand + canonize every candidate, in frontier order *)
-      let cand_rev = ref [] in
-      let ncand = ref 0 in
       for i = 0 to nf - 1 do
         (* fault seam, as in the in-RAM engines *)
         Resilience.worker_tick ~domain:0;
-        List.iter
-          (fun (_, st') ->
-            let rep, key, orbit = canonize_cached cc codec st' in
-            cand_rev := (key, rep, orbit) :: !cand_rev;
-            incr ncand)
-          (successors cfg fr.(i))
+        load_parent kx fr.(i);
+        each_successor kx cfg fr.(i) classify
       done;
-      let cands = Array.of_list (List.rev !cand_rev) in
-      cand_rev := [];
-      let ncand = !ncand in
-      (* classify: cls.(k) = -1 known in hot; -2 - k0 in-batch duplicate
-         of candidate k0; k itself = unknown first occurrence *)
-      let cls = Array.make ncand 0 in
-      let scratch : (string, int) Hashtbl.t = Hashtbl.create 256 in
-      let unknown_rev = ref [] in
-      Array.iteri
-        (fun k (key, _, _) ->
-          if Hashtbl.mem hot key then cls.(k) <- -1
-          else
-            match Hashtbl.find_opt scratch key with
-            | Some k0 -> cls.(k) <- -2 - k0
-            | None ->
-              Hashtbl.add scratch key k;
-              cls.(k) <- k;
-              unknown_rev := key :: !unknown_rev)
-        cands;
+      let ncand = Vec.length cls in
       (* the budget may trip inside this generation: flush the (still
          exact) pre-generation boundary first, so a budget-truncated run
          resumes bit-identically from here *)
@@ -2273,67 +2587,58 @@ module Make (P : Protocol.PROTOCOL) = struct
       | _ -> ());
       (* delayed duplicate detection: sort the unknowns once, stream every
          run once *)
-      let unknown = Array.of_list (List.rev !unknown_rev) in
-      Array.sort compare unknown;
-      let on_disk : (string, unit) Hashtbl.t =
-        Hashtbl.create (max 16 (Array.length unknown))
-      in
-      if Array.length unknown > 0 then begin
-        let found = Disk_visited.probe dv unknown in
-        Array.iteri
-          (fun i k -> if found.(i) then Hashtbl.replace on_disk k ())
-          unknown
+      let on_disk = Array.make (Store.length unknown) false in
+      if Store.length unknown > 0 then begin
+        let order = Store.sorted_ids unknown in
+        let found = Disk_visited.probe dv (Array.map (Store.key unknown) order) in
+        Array.iteri (fun i e -> on_disk.(e) <- found.(i)) order
       end;
       (* the id scan, in candidate order — identical budget semantics to
-         the in-RAM engines. fate of a first occurrence: 1 kept (known on
+         the in-RAM engines. fate of an unknown key: 1 kept (known on
          disk, or interned), 0 dropped by the budget. *)
       let fresh_rev = ref [] in
       let discovered = ref 0 and dups = ref 0 and kept = ref 0 in
-      let fate = Array.make ncand (-1) in
-      Array.iteri
-        (fun k (key, rep, orbit) ->
-          let c = cls.(k) in
-          if c = -1 then begin
+      let fate = Array.make (Store.length unknown) (-1) in
+      for k = 0 to ncand - 1 do
+        let e = Vec.get cls k in
+        if e = -1 then begin
+          incr dups;
+          incr kept
+        end
+        else if Vec.get first e = k then begin
+          if on_disk.(e) then begin
+            (* a known state; deliberately NOT cached back into hot —
+               that would break hot/runs disjointness. Recurring keys
+               are re-probed, the classic DDD trade. *)
             incr dups;
-            incr kept
+            incr kept;
+            fate.(e) <- 1
           end
-          else if c >= 0 then begin
-            if Hashtbl.mem on_disk key then begin
-              (* a known state; deliberately NOT cached back into hot —
-                 that would break hot/runs disjointness. Recurring keys
-                 are re-probed, the classic DDD trade. *)
-              incr dups;
-              incr kept;
-              fate.(k) <- 1
-            end
-            else if !n_states < max_states then begin
-              incr n_states;
-              incr discovered;
-              incr kept;
-              Hashtbl.replace hot key ();
-              orbit_sum := !orbit_sum + orbit;
-              fresh_rev := rep :: !fresh_rev;
-              fate.(k) <- 1
-            end
-            else begin
-              complete := false;
-              set_stop Checker_stats.Budget;
-              fate.(k) <- 0
-            end
+          else if !n_states < max_states then begin
+            incr n_states;
+            incr discovered;
+            incr kept;
+            ignore (Store.add_from hot ~src:unknown e);
+            orbit_sum := !orbit_sum + Vec.get u_orbs e;
+            fresh_rev := Vec.get u_reps e :: !fresh_rev;
+            fate.(e) <- 1
           end
           else begin
-            let k0 = -2 - c in
-            if fate.(k0) = 1 then begin
-              incr dups;
-              incr kept
-            end
-            else begin
-              (* duplicate of a budget-dropped candidate *)
-              complete := false;
-              set_stop Checker_stats.Budget
-            end
-          end)
-        cands;
+            complete := false;
+            set_stop Checker_stats.Budget;
+            fate.(e) <- 0
+          end
+        end
+        else if fate.(e) = 1 then begin
+          incr dups;
+          incr kept
+        end
+        else begin
+          (* duplicate of a budget-dropped candidate *)
+          complete := false;
+          set_stop Checker_stats.Budget
+        end
+      done;
       (* fault seam: an injected allocation failure fires here, before the
          generation is committed *)
       Resilience.boundary_tick ();

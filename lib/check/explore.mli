@@ -119,9 +119,16 @@ module Make (P : Protocol.PROTOCOL) : sig
     graph
   (** Breadth-first reachability from {!initial} (default reduction
       {!Full}; default budget 2,000,000 states). States are interned by
-      their packed {!Codec} key. This is the sequential reference
-      explorer; the parallel explorers below are cross-validated against
-      it.
+      their packed {!Codec} key. Without checkpoint options this is the
+      sequential {e reference} explorer, deliberately kept on the
+      string-keyed path: it boxes every successor ({!successors}),
+      encodes each one from scratch and deduplicates through a
+      [Hashtbl]. Every other explorer — {!explore_with_stats},
+      {!explore_par}, {!explore_external}, and [explore] itself with
+      checkpoint options — runs the packed, delta-keyed engine
+      ({!Store}, {!Codec.Make.patch}; DESIGN.md §5) and is cross-validated
+      against it, graph and orbits bit for bit, by the test suite and
+      the fuzz sweep.
 
       Checkpointing (all explorers): with [~snapshot_to:FILE] the
       exploration writes a durable {!Snapshot} of its newest exact

@@ -11,6 +11,7 @@ let pp_verdict ppf v =
 
 module Make (P : Protocol.PROTOCOL) = struct
   module E = Explore.Make (P)
+  module Cn = Canon.Make (P)
   module S = Shrink.Make (P)
 
   type graph_witness = State of int | Cycle of int list
@@ -349,6 +350,28 @@ module Make (P : Protocol.PROTOCOL) = struct
              (Array.length g.states) g.complete
              (Array.length g_par.states)
              g_par.complete);
+      (* the quotient through both paths: the string-keyed reference
+         explorer and the packed, delta-keyed engine (a trivial group
+         makes it the full graph, already compared above) *)
+      (if
+         !disagreement = None
+         && List.compare_length_with
+              (Cn.group ~ids:cfg.ids ~inputs:cfg.inputs ~namings:cfg.namings)
+              1
+            > 0
+       then
+         let gc = E.explore ~max_states ~reduction:Explore.Canon cfg in
+         let gc', _ =
+           E.explore_with_stats ~max_states ~reduction:Explore.Canon cfg
+         in
+         if not (same_graph gc gc' && gc.orbits = gc'.orbits) then
+           disagree "canon reference/engine graphs"
+             (Printf.sprintf
+                "reference explorer: %d states (complete=%b), engine: %d \
+                 states (complete=%b)"
+                (Array.length gc.states) gc.complete
+                (Array.length gc'.states)
+                gc'.complete));
       if !disagreement = None then begin
         let flat = E.to_flat g in
         let verdicts =

@@ -99,26 +99,54 @@ let test_encode_solo_distinguishes_proc () =
 (* --- key-width overflow: typed error, 4-byte widening ------------------
    A code that does not fit the key width must raise the typed
    [Codec.Overflow] instead of silently truncating (which would alias two
-   distinct states — a missed violation). [key_of_codes] packs
-   already-interned codes, so it can exercise the boundary directly
-   without interning 2^24 values. *)
+   distinct states — a missed violation). [key_of_codes] and [patch] pack
+   already-interned codes, so they can exercise the boundary directly
+   without interning 2^24 values. Both packers are checked at every
+   boundary: [pack c vcodes lcodes] through each. *)
+
+let packers =
+  [
+    ("key_of_codes", C.key_of_codes);
+    ( "patch",
+      fun c vcodes lcodes ->
+        (* patch every slot of a zero key, one at a time *)
+        let m = Array.length vcodes in
+        let key = Bytes.make (C.width c * (m + Array.length lcodes)) '\000' in
+        Array.iteri (fun k code -> C.patch c key ~m k code) vcodes;
+        Array.iteri (fun q code -> C.patch c key ~m (m + q) code) lcodes;
+        Bytes.to_string key );
+  ]
+
+let expect_overflow ~what ~kind ~width f =
+  match f () with
+  | exception Check.Codec.Overflow o ->
+    Alcotest.(check string) (what ^ ": table named") kind o.kind;
+    Alcotest.(check int) (what ^ ": width named") width o.width
+  | exception e ->
+    Alcotest.failf "%s: expected typed Overflow, got %s" what
+      (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: overflow not detected" what
 
 let test_overflow_typed () =
   let c = C.create () in
   Alcotest.(check int) "default width" 3 (C.width c);
-  (* largest representable code packs fine *)
-  ignore (C.key_of_codes c [| (1 lsl 24) - 1 |] [| 0 |]);
-  (match C.key_of_codes c [| 1 lsl 24 |] [| 0 |] with
-  | exception Check.Codec.Overflow { kind = "value"; code; width = 3 } ->
-    Alcotest.(check int) "overflowing code reported" (1 lsl 24) code
-  | exception e ->
-    Alcotest.failf "expected typed Overflow, got %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "24-bit overflow not detected");
-  (match C.key_of_codes c [| 0 |] [| 1 lsl 24 |] with
-  | exception Check.Codec.Overflow { kind = "local"; _ } -> ()
-  | exception e ->
-    Alcotest.failf "expected local Overflow, got %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "local-slot overflow not detected");
+  List.iter
+    (fun (name, pack) ->
+      (* largest representable code packs fine *)
+      ignore (pack c [| (1 lsl 24) - 1 |] [| (1 lsl 24) - 1 |]);
+      (match pack c [| 1 lsl 24 |] [| 0 |] with
+      | exception Check.Codec.Overflow { kind = "value"; code; width = 3 } ->
+        Alcotest.(check int) (name ^ ": overflowing code reported") (1 lsl 24)
+          code
+      | exception e ->
+        Alcotest.failf "%s: expected typed Overflow, got %s" name
+          (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: 24-bit overflow not detected" name);
+      expect_overflow ~what:(name ^ " local slot") ~kind:"local" ~width:3
+        (fun () -> pack c [| 0 |] [| 1 lsl 24 |]);
+      expect_overflow ~what:(name ^ " negative code") ~kind:"value" ~width:3
+        (fun () -> pack c [| -1 |] [| 0 |]))
+    packers;
   (* the registered printer names the recovery *)
   let msg =
     Printexc.to_string
@@ -138,14 +166,24 @@ let test_wide_widening () =
   Alcotest.(check int) "4 bytes per slot"
     (4 * (3 + 2))
     (String.length (C.encode c [| 0; 7; 3 |] Test_runtime.Toy.[| Rem; Put |]));
-  (* the code that overflowed 3-byte keys fits wide ones *)
-  ignore (C.key_of_codes c [| 1 lsl 24 |] [| 0 |]);
-  (* ... and wide keys still have a boundary of their own *)
-  (match C.key_of_codes c [| 1 lsl 32 |] [| 0 |] with
-  | exception Check.Codec.Overflow { width = 4; _ } -> ()
-  | exception e ->
-    Alcotest.failf "expected wide Overflow, got %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "32-bit overflow not detected");
+  List.iter
+    (fun (name, pack) ->
+      (* the code that overflowed 3-byte keys fits wide ones *)
+      ignore (pack c [| 1 lsl 24 |] [| (1 lsl 32) - 1 |]);
+      (* ... and wide keys still have a boundary of their own *)
+      expect_overflow ~what:(name ^ " wide value slot") ~kind:"value" ~width:4
+        (fun () -> pack c [| 1 lsl 32 |] [| 0 |]);
+      expect_overflow ~what:(name ^ " wide local slot") ~kind:"local" ~width:4
+        (fun () -> pack c [| 0 |] [| 1 lsl 32 |]))
+    packers;
+  (* a patched key unpacks to its codes *)
+  let key = Bytes.of_string (C.key_of_codes c [| 5; 6 |] [| 7 |]) in
+  C.patch c key ~m:2 2 ((1 lsl 32) - 1);
+  let vcodes = Array.make 2 0 and lcodes = Array.make 1 0 in
+  C.unpack c key vcodes lcodes;
+  Alcotest.(check (list int)) "unpack reads every slot"
+    [ 5; 6; (1 lsl 32) - 1 ]
+    (Array.to_list vcodes @ Array.to_list lcodes);
   (* width survives dump/of_dump, so a resumed run re-packs identically *)
   ignore (C.value_code c 42);
   let c' = C.of_dump (C.dump c) in
@@ -154,8 +192,91 @@ let test_wide_widening () =
     (C.encode c [| 42 |] [| Test_runtime.Toy.Rem |])
     (C.encode c' [| 42 |] [| Test_runtime.Toy.Rem |])
 
-let suite =
+(* --- delta keys: a successor's key is its parent's, patched ----------
+   A step changes the stepping process's local and at most one register,
+   so patching those slots of the parent's key must give exactly
+   [encode] of the successor — the invariant the explorer's keyed
+   successor path rests on. Checked over random reachable states
+   (random walks from the initial state) of the toy protocol, the
+   anonymous mutex under non-identity namings, and ccp (coins and RMW). *)
+
+module Delta (P : Anonmem.Protocol.PROTOCOL) = struct
+  module E = Check.Explore.Make (P)
+  module Cd = Check.Codec.Make (P)
+
+  let walk cfg choices =
+    List.fold_left
+      (fun st c ->
+        match E.successors cfg st with
+        | [] -> st
+        | succ -> snd (List.nth succ (c mod List.length succ)))
+      (E.initial cfg) choices
+
+  (* Every successor of the state [choices] walks to: its key patched
+     from the parent's equals its encoding, at both widths. *)
+  let holds cfg ~wide choices =
+    let c = Cd.create ~wide () in
+    let st = walk cfg choices in
+    let m = Array.length st.E.mem in
+    let parent = Cd.encode c st.E.mem st.E.locals in
+    List.for_all
+      (fun ({ E.proc; _ }, (st' : E.state)) ->
+        let key = Bytes.of_string parent in
+        Cd.patch c key ~m (m + proc) (Cd.local_code c st'.locals.(proc));
+        let changed = ref 0 in
+        Array.iteri
+          (fun k v ->
+            if P.Value.compare v st.E.mem.(k) <> 0 then begin
+              incr changed;
+              Cd.patch c key ~m k (Cd.value_code c v)
+            end)
+          st'.mem;
+        let others_same =
+          let ok = ref true in
+          Array.iteri
+            (fun q l ->
+              if q <> proc && P.compare_local l st.E.locals.(q) <> 0 then
+                ok := false)
+            st'.locals;
+          !ok
+        in
+        !changed <= 1 && others_same
+        && Bytes.to_string key = Cd.encode c st'.mem st'.locals)
+      (E.successors cfg st)
+
+  let test name cfg =
+    QCheck.Test.make ~count:200
+      ~name:(Printf.sprintf "%s: patched parent key = encode of successor" name)
+      QCheck.(pair bool (list_of_size Gen.(int_range 0 60) (int_bound 1000)))
+      (fun (wide, choices) -> holds cfg ~wide choices)
+end
+
+module DToy = Delta (Test_runtime.Toy)
+module DMutex = Delta (Coord.Amutex.P)
+module DCcp = Delta (Coord.Ccp.P)
+
+let delta_tests =
+  let open Anonmem in
   [
+    DToy.test "toy" (DToy.E.config ~ids:[ 5; 9 ] ~inputs:[ (); () ] ());
+    DMutex.test "amutex"
+      {
+        DMutex.E.ids = [| 7; 13; 21 |];
+        inputs = [| (); (); () |];
+        namings =
+          [| Naming.identity 3; Naming.rotation 3 1; Naming.rotation 3 2 |];
+      };
+    DCcp.test "ccp"
+      {
+        DCcp.E.ids = [| 7; 13 |];
+        inputs = [| (); () |];
+        namings = [| Naming.identity 2; Naming.rotation 2 1 |];
+      };
+  ]
+
+let suite =
+  List.map QCheck_alcotest.to_alcotest delta_tests
+  @ [
     Alcotest.test_case "encode length" `Quick test_encode_length;
     Alcotest.test_case "overflow is a typed error" `Quick test_overflow_typed;
     Alcotest.test_case "wide keys widen the boundary" `Quick

@@ -166,6 +166,36 @@ let test_quota_accounting () =
   in
   Alcotest.(check int) "bytes rebuilt on restore" 6 (Disk_visited.n_bytes dv')
 
+(* [probe] merges a run against sorted candidates, so a run holding a
+   key of the wrong width, or keys out of byte order, would answer
+   "absent" for a key it holds: a missed duplicate and a wrong state
+   count. [spill] refuses such input before writing anything. *)
+let test_spill_rejects_malformed () =
+  let dir = tmp_dir "malformed" in
+  let dv = Disk_visited.create ~dir ~key_len:3 () in
+  let refused what keys =
+    match Disk_visited.spill dv ~fingerprint:fp ~descr keys with
+    | () -> Alcotest.failf "spill accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "a short key" [| "aaa"; "bb" |];
+  refused "a long key" [| "aaaa" |];
+  refused "keys out of order" [| "bbb"; "aaa" |];
+  refused "a repeated key" [| "aaa"; "aaa" |];
+  (* byte order, not signed-char order: 0xff sorts after 'a' *)
+  refused "keys out of byte order" [| "\xff\x00\x00"; "abc" |];
+  Alcotest.(check int) "nothing spilled" 0 (Disk_visited.n_runs dv);
+  Alcotest.(check int) "no bytes" 0 (Disk_visited.n_bytes dv);
+  Alcotest.(check bool) "no run file written" true
+    (Array.for_all
+       (fun f -> not (Filename.check_suffix f ".run"))
+       (Sys.readdir dir));
+  Disk_visited.spill dv ~fingerprint:fp ~descr [| "abc"; "\xff\x00\x00" |];
+  Alcotest.(check (array bool))
+    "a well-formed spill still probes right"
+    [| true; false; true |]
+    (Disk_visited.probe dv [| "abc"; "abd"; "\xff\x00\x00" |])
+
 (* --------------- explorer parity: spill-and-probe -------------------- *)
 
 let test_external_parity () =
@@ -344,6 +374,8 @@ let suite =
     Alcotest.test_case "tmp spill debris swept" `Quick test_tmp_debris_swept;
     Alcotest.test_case "spill verifies after write" `Quick
       test_spill_verifies_after_write;
+    Alcotest.test_case "spill rejects malformed runs" `Quick
+      test_spill_rejects_malformed;
     Alcotest.test_case "quota accounting in the run store" `Quick
       test_quota_accounting;
     Alcotest.test_case "quota degrades gracefully, resume completes" `Quick

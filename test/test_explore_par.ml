@@ -1,35 +1,56 @@
 open Anonmem
 open Check
 
-(* Cross-validation of the frontier-parallel explorer against the
-   sequential reference oracle. The parallel explorer promises a
-   bit-identical graph — same state numbering, same transition lists, same
-   completeness flag — for any domain count, so every check here is
-   exact equality, not just "same verdicts". *)
+(* Cross-validation of the packed, delta-keyed engines against the
+   string-keyed reference explorer ([explore] without checkpoint options,
+   which re-encodes every candidate and dedups through a Hashtbl). The
+   engines promise a bit-identical graph — same state numbering,
+   transition lists, orbit sizes and completeness flag — for any domain
+   count, under either reduction, so every check here is exact equality,
+   not just "same verdicts". The external-memory engine materializes no
+   graph; its statistics must match the in-RAM engine's. *)
 
 let domains_under_test = [ 1; 2; 3 ]
+
+let reductions = [ Explore.Full; Explore.Canon ]
+
+(* A fresh directory for one external run, removed afterwards. *)
+let with_tmp_dir f =
+  let dir = Filename.temp_file "coordpar" ".d" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
 
 module Parity (P : Protocol.PROTOCOL) = struct
   module E = Explore.Make (P)
 
-  (* Compares the sequential oracle against [explore_par] at several
-     domain counts and against [explore_with_stats], and sanity-checks
-     the reported statistics against the graph. *)
-  let run ?max_states (cfg : E.config) =
-    let seq = E.explore ?max_states cfg in
+  (* Compares the reference explorer against [explore_par] at several
+     domain counts and thresholds, against [explore_with_stats], and the
+     external engine's statistics against [explore_with_stats]'s, and
+     sanity-checks the reported statistics against the graph. *)
+  let run_reduction ?max_states ~reduction (cfg : E.config) =
+    let red = Explore.reduction_tag reduction in
+    let seq = E.explore ?max_states ~reduction cfg in
     let n_seq = Array.length seq.states in
     List.iter
       (fun d ->
-        (* threshold 0 forces the barrier phases from depth 0; the default
-           threshold exercises the sequential warm-up / adaptive path *)
+        (* threshold 0 forces either engine's parallel phases from depth
+           0; the default threshold exercises the sequential warm-up /
+           adaptive path *)
         List.iter
-          (fun threshold ->
+          (fun (engine, threshold) ->
             let par, stats =
               E.explore_par ?max_states ~domains:d ?par_threshold:threshold
-                cfg
+                ~engine ~reduction cfg
             in
             let tag what =
-              Printf.sprintf "%s (%d domains, threshold %s): %s" P.name d
+              Printf.sprintf "%s %s (%s, %d domains, threshold %s): %s" P.name
+                red (Explore.engine_tag engine) d
                 (match threshold with Some t -> string_of_int t | None -> "-")
                 what
             in
@@ -41,6 +62,8 @@ module Parity (P : Protocol.PROTOCOL) = struct
               (tag "same transitions")
               true
               (seq.succs = par.succs);
+            Alcotest.(check bool) (tag "same orbits") true
+              (seq.orbits = par.orbits);
             Alcotest.(check bool)
               (tag "same completeness")
               true
@@ -75,14 +98,35 @@ module Parity (P : Protocol.PROTOCOL) = struct
               (tag "shard loads sum to states")
               n_seq
               (Array.fold_left ( + ) 0 stats.Checker_stats.shard_load))
-          [ None; Some 0 ])
+          [
+            (Explore.Sharded, None);
+            (Explore.Sharded, Some 0);
+            (Explore.Barrier, Some 0);
+          ])
       domains_under_test;
-    let ws, _ = E.explore_with_stats ?max_states cfg in
+    let ws, ws_stats = E.explore_with_stats ?max_states ~reduction cfg in
     Alcotest.(check bool)
-      (P.name ^ ": with_stats parity")
+      (Printf.sprintf "%s %s: with_stats parity" P.name red)
       true
-      (seq.states = ws.states && seq.succs = ws.succs
-     && seq.complete = ws.complete)
+      (seq.states = ws.states && seq.succs = ws.succs && seq.orbits = ws.orbits
+     && seq.complete = ws.complete);
+    (* external engine, with a hot set small enough to spill a few runs *)
+    let hot_cap = max 16 (n_seq / 4) in
+    let xs =
+      with_tmp_dir (fun dir ->
+          E.explore_external ?max_states ~reduction ~hot_cap ~dir cfg)
+    in
+    let tag what = Printf.sprintf "%s %s external: %s" P.name red what in
+    Alcotest.(check bool)
+      (tag "stats = explore_with_stats (mod clock)")
+      true
+      (Checker_stats.equal_ignoring_time ws_stats xs);
+    if n_seq > 2 * hot_cap then
+      Alcotest.(check bool) (tag "spilled") true
+        (xs.Checker_stats.spilled_runs > 0)
+
+  let run ?max_states cfg =
+    List.iter (fun reduction -> run_reduction ?max_states ~reduction cfg) reductions
 end
 
 (* --- toy protocol (plus budget truncation, where ids must still align) --- *)
@@ -154,6 +198,62 @@ module PBurns = Parity (Baseline.Burns.P)
 
 let test_burns () =
   PBurns.run (PBurns.E.config ~ids:[ 1; 2; 3 ] ~inputs:[ (); (); () ] ())
+
+(* --- the rest of the in-tree protocols --- *)
+
+module PCmp = Parity (Coord.Cmp_mutex.P)
+
+let test_cmp_mutex () =
+  PCmp.run
+    {
+      ids = [| 7; 13 |];
+      inputs = [| (); () |];
+      namings = [| Naming.identity 2; Naming.rotation 2 1 |];
+    }
+
+module PElect = Parity (Coord.Election.P)
+
+let test_election () =
+  List.iter
+    (fun nam ->
+      PElect.run
+        {
+          ids = [| 7; 13 |];
+          inputs = [| (); () |];
+          namings = [| Naming.identity 3; nam |];
+        })
+    [ Naming.identity 3; Naming.rotation 3 2 ]
+
+module PCcpK = Parity (Coord.Ccp_k.P3)
+
+let test_ccp_k () =
+  PCcpK.run ~max_states:4_000
+    {
+      ids = [| 7; 13 |];
+      inputs = [| (); () |];
+      namings = [| Naming.identity 3; Naming.rotation 3 1 |];
+    }
+
+module PFast = Parity (Baseline.Fast_mutex.P)
+
+let test_fast_mutex () =
+  PFast.run (PFast.E.config ~ids:[ 1; 2 ] ~inputs:[ (); () ] ())
+
+module PTour = Parity (Baseline.Tournament.P)
+
+let test_tournament () =
+  PTour.run (PTour.E.config ~ids:[ 1; 2 ] ~inputs:[ (); () ] ())
+
+module PCa = Parity (Baseline.Ca_consensus.P)
+
+let test_ca_consensus () =
+  let m = Baseline.Ca_consensus.P.registers_for ~n:2 ~rounds:2 in
+  PCa.run (PCa.E.config ~m ~ids:[ 1; 2 ] ~inputs:[ 100; 200 ] ())
+
+module PChain = Parity (Baseline.Chain_renaming.P)
+
+let test_chain_renaming () =
+  PChain.run (PChain.E.config ~ids:[ 7; 13 ] ~inputs:[ (); () ] ())
 
 (* --- engine matrix: sequential vs barrier vs sharded --------------------
    The sharded work-stealing engine promises the same bit-identical graph
@@ -326,6 +426,14 @@ let suite =
     Alcotest.test_case "par = seq: ccp" `Quick test_ccp;
     Alcotest.test_case "par = seq: peterson" `Quick test_peterson;
     Alcotest.test_case "par = seq: burns" `Quick test_burns;
+    Alcotest.test_case "par = seq: cmp_mutex" `Quick test_cmp_mutex;
+    Alcotest.test_case "par = seq: election" `Quick test_election;
+    Alcotest.test_case "par = seq: ccp_k" `Quick test_ccp_k;
+    Alcotest.test_case "par = seq: fast_mutex" `Quick test_fast_mutex;
+    Alcotest.test_case "par = seq: tournament" `Quick test_tournament;
+    Alcotest.test_case "par = seq: ca_consensus" `Quick test_ca_consensus;
+    Alcotest.test_case "par = seq: chain_renaming" `Quick
+      test_chain_renaming;
     Alcotest.test_case "checker stats are coherent" `Quick test_stats_coherent;
     Alcotest.test_case "engine matrix: barrier = sharded = seq" `Quick
       test_engine_matrix;
