@@ -29,13 +29,12 @@
 
    Two further kinds of workload ride on the same harness:
 
-   - shard-vs-seq / barrier-vs-seq: a multi-domain scaling curve of both
-     parallel engines (the sharded work-stealing default and the barrier
-     reference) against the sequential explorer, one row per (engine,
-     domain count). --gate-shard RATIO turns the sharded rows into a CI
-     gate on graphs above 10^5 states (`make bench-shard` wires it in at
-     1.0); on a single-domain host every parallel comparison is recorded
-     as {"skipped": "single-domain host"} instead of a noise ratio.
+   - par-scaling: the states/s-vs-domains curve of the parallel explorer
+     against the sequential one, one row per domain count d = 1..DOMAINS.
+     --gate-shard RATIO turns the rows with d >= 2 into a CI gate on
+     graphs above 10^5 states (`make bench-shard` wires it in at 1.0); on
+     a single-domain host the curve is the d = 1 row alone and the gate
+     passes vacuously.
 
    - disk-vs-quotient (--disk): the external-memory explorer runs the
      full UNREDUCED Figure 1 mutex (amutex on m = 5, three lock-step
@@ -71,13 +70,14 @@ let str = Printf.sprintf
 type entry = {
   label : string;
   kind : string;
-      (* "par-vs-seq" | "reduced-vs-full" | "shard-vs-seq" |
-         "barrier-vs-seq" | "disk-vs-quotient" *)
+      (* "par-vs-seq" | "reduced-vs-full" | "par-scaling" |
+         "disk-vs-quotient" *)
   a_name : string;
   a_json : string;
   b_name : string;
   b_json : string;
   speedup : float;  (* elapsed(a) / elapsed(b) *)
+  domains : int;  (* domains of the "b" run *)
   reduction_factor : float;
   peak_table : int;  (* largest interning-table population of the entry *)
   full_complete : bool;
@@ -99,6 +99,7 @@ let skipped_entry ~label ~kind reason =
     b_name = "";
     b_json = "";
     speedup = 1.0;
+    domains = 1;
     reduction_factor = 1.0;
     peak_table = 0;
     full_complete = false;
@@ -186,7 +187,7 @@ module Sweep (P : Protocol.PROTOCOL) = struct
             "parallel path never engaged (single domain or frontier below \
              threshold); difference is timing noise"
           | Some dep ->
-            str "barrier-parallel from depth %d: overhead exceeded the \
+            str "parallel from depth %d: overhead exceeded the \
                  per-generation work on this host" dep)
     in
     {
@@ -197,6 +198,7 @@ module Sweep (P : Protocol.PROTOCOL) = struct
       b_name = "par";
       b_json = Check.Checker_stats.to_json sp;
       speedup;
+      domains;
       reduction_factor = 1.0;
       peak_table = max ss.Check.Checker_stats.n_states sp.Check.Checker_stats.n_states;
       full_complete = ss.Check.Checker_stats.complete;
@@ -205,66 +207,42 @@ module Sweep (P : Protocol.PROTOCOL) = struct
     }
     end
 
-  (* Multi-domain scaling curve: the sequential reference against both
-     parallel engines at each domain count up to [domains], recorded as
-     one row per (engine, d). The sharded rows are the ones the
-     --gate-shard CI gate reads. *)
-  let engine_curve ~label ~domains ?max_states (cfg : E.config) =
-    if domains < 2 then begin
-      Format.printf "--- %s scaling ---@.skipped: single-domain host@.@."
-        label;
-      [ skipped_entry ~label:(label ^ "-scaling") ~kind:"shard-vs-seq"
-          "single-domain host" ]
-    end
-    else begin
-      let gs, ss = time_best (fun () -> E.explore_with_stats ?max_states cfg) in
-      check_accounting ~label ~which:"seq" ss;
-      let curve =
-        List.sort_uniq compare
-          (domains :: List.filter (fun d -> d <= domains) [ 2; 4; 8; 16 ])
-      in
-      List.concat_map
-        (fun d ->
-          List.map
-            (fun engine ->
-              let tagname = Check.Explore.engine_tag engine in
-              let row_label = str "%s [%s d=%d]" label tagname d in
-              let gp, sp =
-                time_best (fun () ->
-                    E.explore_par ~domains:d ~engine ?max_states cfg)
-              in
-              if not (same gs gp) then
-                failwith
-                  (str "%s: %s engine diverged from sequential" row_label
-                     tagname);
-              check_accounting ~label:row_label ~which:tagname sp;
-              let speedup =
-                ss.Check.Checker_stats.elapsed_s
-                /. sp.Check.Checker_stats.elapsed_s
-              in
-              Format.printf "--- %s ---@.seq: %a@.%s: %a@.speedup: %.2fx@.@."
-                row_label Check.Checker_stats.pp ss tagname
-                Check.Checker_stats.pp sp speedup;
-              {
-                label = row_label;
-                kind =
-                  (match engine with
-                  | Check.Explore.Sharded -> "shard-vs-seq"
-                  | Check.Explore.Barrier -> "barrier-vs-seq");
-                a_name = "seq";
-                a_json = Check.Checker_stats.to_json ss;
-                b_name = tagname;
-                b_json = Check.Checker_stats.to_json sp;
-                speedup;
-                reduction_factor = 1.0;
-                peak_table = ss.Check.Checker_stats.n_states;
-                full_complete = ss.Check.Checker_stats.complete;
-                note = None;
-                skipped = None;
-              })
-            [ Check.Explore.Barrier; Check.Explore.Sharded ])
-        curve
-    end
+  (* Scaling curve: the sequential reference against the parallel
+     explorer at each domain count 1..[domains], one row per d. The rows
+     with d >= 2 are the ones the --gate-shard CI gate reads. *)
+  let par_curve ~label ~domains ?max_states (cfg : E.config) =
+    let gs, ss = time_best (fun () -> E.explore_with_stats ?max_states cfg) in
+    check_accounting ~label ~which:"seq" ss;
+    List.init domains (fun i ->
+        let d = i + 1 in
+        let row_label = str "%s [par d=%d]" label d in
+        let gp, sp =
+          time_best (fun () -> E.explore_par ~domains:d ?max_states cfg)
+        in
+        if not (same gs gp) then
+          failwith
+            (str "%s: parallel explorer diverged from sequential" row_label);
+        check_accounting ~label:row_label ~which:"par" sp;
+        let speedup =
+          ss.Check.Checker_stats.elapsed_s /. sp.Check.Checker_stats.elapsed_s
+        in
+        Format.printf "--- %s ---@.seq: %a@.par: %a@.speedup: %.2fx@.@."
+          row_label Check.Checker_stats.pp ss Check.Checker_stats.pp sp speedup;
+        {
+          label = row_label;
+          kind = "par-scaling";
+          a_name = "seq";
+          a_json = Check.Checker_stats.to_json ss;
+          b_name = "par";
+          b_json = Check.Checker_stats.to_json sp;
+          speedup;
+          domains = d;
+          reduction_factor = 1.0;
+          peak_table = ss.Check.Checker_stats.n_states;
+          full_complete = ss.Check.Checker_stats.complete;
+          note = None;
+          skipped = None;
+        })
 
   (* External-memory run of a full (unreduced) graph too big for the
      in-RAM budget, cross-checked against the symmetry quotient: the
@@ -313,6 +291,7 @@ module Sweep (P : Protocol.PROTOCOL) = struct
       b_json = Check.Checker_stats.to_json sx;
       speedup =
         sr.Check.Checker_stats.elapsed_s /. sx.Check.Checker_stats.elapsed_s;
+      domains = 1;
       reduction_factor = Check.Checker_stats.reduction_factor sr;
       peak_table = sx.Check.Checker_stats.n_states;
       full_complete = sx.Check.Checker_stats.complete;
@@ -367,6 +346,7 @@ module Sweep (P : Protocol.PROTOCOL) = struct
       b_name = "reduced";
       b_json = Check.Checker_stats.to_json sr;
       speedup;
+      domains = 1;
       reduction_factor = Check.Checker_stats.reduction_factor sr;
       peak_table = max sf.Check.Checker_stats.n_states sr.Check.Checker_stats.n_states;
       full_complete = gf.complete;
@@ -562,10 +542,10 @@ let () =
   add
     (SMutex.par_vs_seq ~label:"amutex-m5" ~domains
        { ids = [| 7; 13 |]; inputs = [| (); () |]; namings = rot2 5 });
-  (* --- engine scaling: barrier vs sharded at 2..domains, on a full
-     graph big enough for the gate (227k states > the 10^5 floor) --- *)
+  (* --- parallel scaling at 1..domains, on a full graph big enough for
+     the gate (227k states > the 10^5 floor) --- *)
   add_all
-    (SMutex.engine_curve ~label:"amutex-m3-n3" ~domains
+    (SMutex.par_curve ~label:"amutex-m3-n3" ~domains
        { ids = ids 3; inputs = units 3; namings = sym 3 3 });
   if not !quick then begin
     add
@@ -632,18 +612,18 @@ let () =
   match !gate_shard with
   | None -> ()
   | Some ratio ->
-    (* the sharded engine must beat sequential on graphs big enough to
-       amortize domain startup (> 10^5 states); single-domain hosts have
-       only skipped rows and pass vacuously *)
+    (* the parallel explorer must beat sequential on graphs big enough
+       to amortize domain startup (> 10^5 states); a single-domain host
+       has only the d = 1 row and passes vacuously *)
     let eligible =
       List.filter
         (fun e ->
-          e.kind = "shard-vs-seq" && e.skipped = None && e.peak_table > 100_000)
+          e.kind = "par-scaling" && e.domains >= 2 && e.peak_table > 100_000)
         entries
     in
     if eligible = [] then
       Format.printf
-        "gate: no sharded workloads eligible on this host (single domain \
+        "gate: no parallel workloads eligible on this host (single domain \
          or all graphs under 10^5 states); vacuous pass@."
     else begin
       let failures = List.filter (fun e -> e.speedup < ratio) eligible in
@@ -651,7 +631,7 @@ let () =
         List.iter
           (fun e ->
             Printf.eprintf
-              "gate: %s: sharded wall-clock %.3fx sequential, below the \
+              "gate: %s: parallel wall-clock %.3fx sequential, below the \
                %.2fx gate\n"
               e.label e.speedup ratio)
           failures;
@@ -659,7 +639,7 @@ let () =
       end
       else
         Format.printf
-          "gate: all %d sharded workloads at or above %.2fx sequential \
+          "gate: all %d parallel workloads at or above %.2fx sequential \
            wall-clock@."
           (List.length eligible) ratio
     end

@@ -118,8 +118,8 @@ let simulate proto n m seed steps show_trace =
    graph's, see DESIGN.md §9). [--max-states] truncates; [--snapshot-dir]
    checkpoints each naming's exploration so a truncated or interrupted
    sweep can be resumed with [--resume] (see DESIGN.md §10). [--deadline]
-   bounds wall clock; [--salvage]/[--supervise]/[--inject-faults] are the
-   self-healing surface (see DESIGN.md §12). *)
+   bounds wall clock; [--salvage]/[--inject-faults] are the self-healing
+   surface (see DESIGN.md §12). *)
 type chk_opts = {
   par : bool;
   domains : int option;
@@ -131,7 +131,6 @@ type chk_opts = {
   resume : string option;
   deadline_s : float option;
   salvage : bool;
-  supervise : bool option;
   recover : bool;  (** wrap explorations in [with_recovery] (fault campaigns) *)
   saw_deadline : bool ref;
       (** set when any exploration in the sweep stopped on the deadline,
@@ -150,7 +149,6 @@ let default_chk_opts =
     resume = None;
     deadline_s = None;
     salvage = false;
-    supervise = None;
     recover = false;
     saw_deadline = ref false;
   }
@@ -175,7 +173,7 @@ module Chk (P : Protocol.PROTOCOL) = struct
         E.explore_par ?max_states:opts.max_states ?domains:opts.domains
           ?snapshot_every:opts.snapshot_every ?snapshot_to ?resume_from
           ?deadline_s:opts.deadline_s ~salvage:opts.salvage
-          ?supervise:opts.supervise ~reduction:opts.reduction cfg
+          ~reduction:opts.reduction cfg
       else
         E.explore_with_stats ?max_states:opts.max_states
           ?snapshot_every:opts.snapshot_every ?snapshot_to ?resume_from
@@ -337,11 +335,10 @@ let reduction_of_flags ~canon ~no_canon =
    fingerprint mismatch with every swept configuration); 6 the --deadline
    expired (graceful stop at a generation boundary, snapshot flushed). *)
 let check proto n m par domains stats canon no_canon max_states snapshot_dir
-    snapshot_every resume deadline salvage supervise inject =
+    snapshot_every resume deadline salvage inject =
   let reduction = reduction_of_flags ~canon ~no_canon in
   (* --inject-faults SEED arms a deterministic infrastructure-fault plan
      and implies the rest of the self-healing stack: snapshot salvage,
-     supervised workers (auto-enabled by the armed domain faults),
      with_recovery retries, and somewhere to recover from — a private
      snapshot dir is synthesized when none was given. The plan seed is
      printed so the whole campaign can be replayed. *)
@@ -376,7 +373,6 @@ let check proto n m par domains stats canon no_canon max_states snapshot_dir
       resume;
       deadline_s = deadline;
       salvage = salvage || inject <> None;
-      supervise = (if supervise then Some true else None);
       recover = inject <> None;
       saw_deadline = ref false;
     }
@@ -1366,7 +1362,7 @@ module Xpl (P : Protocol.PROTOCOL) = struct
 
   let explore ~n ~m ~rot ~inputs ~reduction ~par ~domains ~max_states ~depths
       ~snapshot_to ~snapshot_every ~resume_from ~deadline_s ~salvage
-      ~supervise ~engine ~disk_visited ~disk_hot_cap ~disk_quota ~recover =
+      ~disk_visited ~disk_hot_cap ~disk_quota ~recover =
     if reduction = Check.Explore.Canon && E.canon_degraded ~n then
       Format.printf
         "note: --canon degraded to the identity group (%s): exploring the \
@@ -1441,10 +1437,8 @@ module Xpl (P : Protocol.PROTOCOL) = struct
       | None ->
         let run ~resume_from ~snapshot_to =
           if par then
-            E.explore_par ?max_states ?domains ?engine ?snapshot_every
-              ?snapshot_to ?resume_from ?deadline_s ~salvage
-              ?supervise:(if supervise then Some true else None)
-              ~reduction cfg
+            E.explore_par ?max_states ?domains ?snapshot_every ?snapshot_to
+              ?resume_from ?deadline_s ~salvage ~reduction cfg
           else
             E.explore_with_stats ?max_states ?snapshot_every ?snapshot_to
               ?resume_from ?deadline_s ~salvage ~reduction cfg
@@ -1491,8 +1485,8 @@ module Xpl (P : Protocol.PROTOCOL) = struct
 end
 
 let explore proto n m rot par domains canon no_canon max_states depths
-    snapshot_to snapshot_every resume_from deadline_s salvage supervise
-    engine inject disk_faults disk_quota disk_visited disk_hot_cap =
+    snapshot_to snapshot_every resume_from deadline_s salvage inject
+    disk_faults disk_quota disk_visited disk_hot_cap =
   let reduction = reduction_of_flags ~canon ~no_canon in
   (* --inject-faults on explore mirrors `check`: the plan is printed for
      replay, a private checkpoint file is synthesized when none was given
@@ -1534,13 +1528,13 @@ let explore proto n m rot par domains canon no_canon max_states depths
       let module X = Xpl (Coord.Amutex.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Cmp_mutex ->
       let module X = Xpl (Coord.Cmp_mutex.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Consensus ->
       let module X = Xpl (Coord.Consensus.P) in
@@ -1548,25 +1542,25 @@ let explore proto n m rot par domains canon no_canon max_states depths
          distinct inputs *)
       X.explore ~n ~m ~rot ~inputs:(Array.make n 42) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Election ->
       let module X = Xpl (Coord.Election.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Renaming ->
       let module X = Xpl (Coord.Renaming.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
     | Ccp ->
       let module X = Xpl (Coord.Ccp.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
-        ~deadline_s ~salvage ~supervise ~engine ~disk_visited ~disk_hot_cap
+        ~deadline_s ~salvage ~disk_visited ~disk_hot_cap
         ~disk_quota ~recover
   with
   | exception Check.Snapshot.Error e ->
@@ -1747,37 +1741,6 @@ let salvage_arg =
            checkpoint chunk instead of rejecting the file with exit 4; \
            what was dropped is reported on stderr.")
 
-let supervise_arg =
-  Arg.(
-    value & flag
-    & info [ "supervise" ]
-        ~doc:
-          "With $(b,--par), run worker domains under a supervisor that \
-           detects dead workers, requeues their work units onto survivors \
-           and respawns them (bounded restarts with backoff) instead of \
-           hanging. Results stay bit-identical to the unsupervised \
-           explorer. Enabled automatically by $(b,--inject-faults).")
-
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (some
-           (enum
-              [
-                ("sharded", Check.Explore.Sharded);
-                ("barrier", Check.Explore.Barrier);
-              ]))
-        None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "With $(b,--par), choreography of the wide generations: \
-           $(b,sharded) (the default — continuous shard owners over SPSC \
-           mailboxes with work stealing) or $(b,barrier) (five lock-step \
-           phases per generation). Both produce bit-identical results; \
-           the knob exists for benchmarks and fault campaigns that must \
-           pin one down (DESIGN.md §13).")
-
 let inject_arg =
   Arg.(
     value
@@ -1787,7 +1750,7 @@ let inject_arg =
           "Arm the deterministic infrastructure-fault plan derived from \
            $(i,SEED): worker-domain kills and stalls, torn or bit-flipped \
            snapshot writes, an allocation failure (DESIGN.md §12). \
-           Implies $(b,--salvage), supervision and crash-recovery — \
+           Implies $(b,--salvage) and crash-recovery — \
            explorations retry from the newest salvageable snapshot, and a \
            private snapshot dir is synthesized when $(b,--snapshot-dir) \
            is absent. The plan is printed so the whole campaign replays \
@@ -1824,7 +1787,7 @@ let check_cmd =
         (const check $ proto_arg $ n_arg $ m_arg $ par_arg $ domains_arg
        $ stats_arg $ canon_arg $ no_canon_arg $ max_states_arg
        $ snapshot_dir_arg $ snapshot_every_arg $ resume_arg $ deadline_arg
-       $ salvage_arg $ supervise_arg $ inject_arg))
+       $ salvage_arg $ inject_arg))
 
 let explore_cmd =
   let doc = "explore one configuration and print checker statistics" in
@@ -1915,7 +1878,7 @@ let explore_cmd =
         (const explore $ proto_arg $ n_arg $ m_arg $ rot $ par_arg
        $ domains_arg $ canon_arg $ no_canon_arg $ max_states $ depths
        $ snapshot $ snapshot_every_arg $ resume_arg $ deadline_arg
-       $ salvage_arg $ supervise_arg $ engine_arg $ inject_arg $ disk_faults
+       $ salvage_arg $ inject_arg $ disk_faults
        $ disk_quota $ disk_visited $ disk_hot_cap))
 
 let bench_cmd =

@@ -74,8 +74,7 @@ let equal_ignoring_time a b =
      its (cold) caches, so the bit-identity relation must ignore them.
      [restarts] likewise counts infrastructure weather (how many worker
      domains died and were respawned), not anything about the graph —
-     as do [recoveries] (whole attempts [with_recovery] retried),
-     [steals]/[handoffs] (scheduling luck in the sharded engine)
+     as do [recoveries] (whole attempts [with_recovery] retried)
      and [spilled_runs]/[disk_probes] (where the memory watermark
      happened to trip, and how much of a resumed run's probing the
      interrupted run had already paid for). *)
@@ -87,8 +86,6 @@ let equal_ignoring_time a b =
       canon_hits = 0;
       restarts = 0;
       recoveries = 0;
-      steals = 0;
-      handoffs = 0;
       spilled_runs = 0;
       disk_probes = 0;
     }
@@ -142,10 +139,6 @@ let pp ppf t =
       "@,recovery: %d attempt%s retried from the newest salvageable state"
       t.recoveries
       (if t.recoveries = 1 then "" else "s");
-  if t.steals > 0 || t.handoffs > 0 then
-    Format.fprintf ppf
-      "@,sharding: %d cross-shard handoff batches, %d frontier batches stolen"
-      t.handoffs t.steals;
   if t.spilled_runs > 0 || t.disk_probes > 0 then
     Format.fprintf ppf
       "@,disk visited: %d sorted runs spilled, %d batched probes" t.spilled_runs

@@ -28,7 +28,7 @@ type stop_reason =
       (** [Out_of_memory] was degraded into a flushed boundary instead of
           a crash *)
   | Fault
-      (** the supervised parallel engine gave up (a stalled domain
+      (** the parallel explorer's supervisor gave up (a stalled domain
           outlived its patience budget) and salvaged the last boundary *)
   | Disk_full
       (** the disk-backed visited set hit its byte quota: spilling
@@ -58,8 +58,9 @@ type t = {
   complete : bool;
   stop : stop_reason;  (** {!Completed} iff [complete] *)
   restarts : int;
-      (** worker domains the supervised parallel engine detected dead and
-          respawned; 0 outside supervised mode *)
+      (** worker domains the parallel explorer's supervisor detected dead
+          and respawned; 0 when no fault fires. Infrastructure weather,
+          scrubbed by {!equal_ignoring_time}. *)
   recoveries : int;
       (** whole exploration attempts {!Explore.Make.with_recovery}
           retried after a transient infrastructure failure (killed
@@ -86,13 +87,10 @@ type t = {
           warm-up to parallel generations; [None] when the whole run
           stayed sequential (small frontier or [domains = 1]) *)
   steals : int;
-      (** frontier batches an idle domain took from another shard's
-          worklist (sharded engine); scheduling weather, scrubbed by
-          {!equal_ignoring_time} *)
-  handoffs : int;
-      (** cross-shard candidate batches pushed over the SPSC mailboxes
-          (sharded engine); depends on batch size and timing, scrubbed by
-          {!equal_ignoring_time} *)
+      (** always 0: the explorer that stole frontier batches is gone.
+          Kept, with [handoffs], because the benchmark's layer report
+          reads both. *)
+  handoffs : int;  (** always 0, see [steals] *)
   spilled_runs : int;
       (** sorted immutable runs the disk-backed visited set wrote; 0 for
           in-RAM explorations *)
@@ -123,8 +121,7 @@ val equal_ignoring_time : t -> t -> bool
     never reproduce), the cache-effectiveness counters [sig_pruned] and
     [canon_hits] (which depend on domain count and on where a resume
     restarted its cold caches), and the infrastructure-weather counters
-    [restarts], [recoveries], [steals], [handoffs], [spilled_runs] and
-    [disk_probes]
+    [restarts], [recoveries], [spilled_runs] and [disk_probes]
     (scheduling luck and watermark timing, not graph facts). This is the
     "bit-identical statistics"
     relation the checkpoint/resume tests assert: a truncated-then-resumed

@@ -4,10 +4,6 @@ type reduction = Full | Canon
 
 let reduction_tag = function Full -> "full" | Canon -> "canon"
 
-type engine = Barrier | Sharded
-
-let engine_tag = function Barrier -> "barrier" | Sharded -> "sharded"
-
 (* Growable array; [dummy] fills spare capacity so cleared slots hold no
    stale references. *)
 module Vec = struct
@@ -586,60 +582,52 @@ module Make (P : Protocol.PROTOCOL) = struct
      parallel explorer reproduces exactly that order.
 
      Generations start sequential: while the frontier is narrower than
-     [par_threshold] the barrier choreography costs more than the
-     expansion work, so worker 0 expands the whole generation alone
-     (before any domain is spawned at all, if the warm-up is still
-     running). Once the frontier first reaches the threshold, the worker
-     domains spawn — that depth is recorded as the [cutover] stat — and
-     each wide generation runs in barrier-separated phases:
+     [par_threshold] the phase choreography costs more than the expansion
+     work, so the calling domain expands the whole generation alone
+     (before any worker domain is spawned at all, if the warm-up is still
+     running). Once the frontier first reaches the threshold, the crew
+     spawns — that depth is recorded as the [cutover] stat — and each wide
+     generation runs as a sequence of work epochs, every unit of which any
+     crew member (the calling domain included) may claim:
 
-       A  workers expand a slice of the frontier (successor computation
+       A  expand the frontier in 32-state chunks (successor computation
           plus canonicalization — the work that dominates the run),
-          packing every successor into its string key;
-       -  worker 0 flattens the successor lists into one candidate array,
-          in the sequential discovery order;
-       B  the interning table is sharded by key hash; each worker
-          resolves the candidates its shard owns against its own table
-          (no locks — ownership is a partition), marking each candidate
-          as an existing state, a duplicate of an earlier candidate of
-          this generation, or fresh;
-       -  worker 0 scans the candidate array once, in order, handing out
-          consecutive ids to fresh candidates — exactly the ids the
+          packing every successor's key;
+       -  the supervisor flattens the successor lists into one candidate
+          array, in the sequential discovery order;
+       B  the interning table is sharded by structural hash; each unit
+          resolves the candidates one shard owns against that shard's
+          table (no locks — ownership is a partition), marking each
+          candidate as an existing state, a duplicate of an earlier
+          candidate of this generation, or fresh;
+       -  the supervisor scans the candidate array once, in order, handing
+          out consecutive ids to fresh candidates — exactly the ids the
           sequential explorer would have assigned, including where the
           [max_states] budget cuts off;
-       C  workers insert their shards' newly-identified states and build
-          the transition lists for their frontier slice;
-       -  worker 0 appends the generation's states and transitions, forms
-          the next frontier and decides the next generation's mode.
+       C1 each unit inserts one shard's newly identified states;
+       C2 the transition lists, in frontier chunks;
+       -  the supervisor appends the generation's states and transitions,
+          forms the next frontier and decides the next generation's mode.
 
      Narrow generations after the cutover (a draining frontier) drop back
-     to sequential expansion by worker 0 — one barrier per generation
-     instead of six. The result is bit-identical to [explore] on every
-     input and every mode schedule, which the test suite cross-checks for
-     every in-tree protocol. *)
+     to sequential expansion by the supervisor while the crew idles. The
+     result is bit-identical to [explore] on every input and every mode
+     schedule, which the test suite cross-checks for every in-tree
+     protocol. *)
 
-  (* Supervised-engine work epoch. Published as ONE atomic record so a
-     worker can never pair one epoch's unit table with another epoch's
-     work function. Unit cells: 0 unclaimed, [slot + 1] claimed by that
-     crew slot, -1 done. *)
+  (* A work epoch. Published as ONE atomic record so a worker can never
+     pair one epoch's unit table with another epoch's work function.
+     Unit cells: 0 unclaimed, [slot + 1] claimed by that crew slot, -1
+     done. *)
   type epoch = {
-    ep_id : int;
     ep_units : int Atomic.t array;
     ep_fn : int -> int -> unit;  (** slot -> unit index *)
   }
 
-  (* One cross-shard candidate in flight between two domains of the
-     sharded engine: the candidate key [h_ckey] fixes its place in the
-     sequential discovery order; the rest is what the owning shard needs
-     to resolve it without re-canonizing. *)
-  type handoff = { h_ckey : int; h_key : Bytes.t; h_rep : state; h_orbit : int }
-
-  let explore_impl ~max_states ~domains ~par_threshold ~reduction ~engine
-      ~handoff_batch ~steal_batch ~snapshot_every ~snapshot_to ~resume_from
-      ~mem_soft_limit_mb ~deadline_s ~salvage ~supervise cfg =
+  let explore_impl ~max_states ~domains ~par_threshold ~reduction
+      ~snapshot_every ~snapshot_to ~resume_from ~mem_soft_limit_mb ~deadline_s
+      ~salvage cfg =
     let d = max 1 domains in
-    let handoff_batch = max 1 handoff_batch in
-    let steal_batch = max 1 steal_batch in
     let n_procs = Array.length cfg.ids in
     let n_registers = Naming.size cfg.namings.(0) in
     let fp = lazy (fingerprint ~reduction cfg) in
@@ -707,10 +695,6 @@ module Make (P : Protocol.PROTOCOL) = struct
       ref (match resumed with Some sp -> sp.sp_cutover | None -> None)
     in
     let orbit_sum = ref 0 in
-    (* Sharded-engine weather counters, one slot per domain (disjoint
-       writes; read after the joins). Never part of bit-identity. *)
-    let steals_ctr = Array.make d 0 in
-    let handoffs_ctr = Array.make d 0 in
     let stats_base ~n_states ~n_transitions ~max_depth ~max_frontier
         ~candidates ~dedup_hits ~shard_load ~complete ~depths =
       {
@@ -737,8 +721,8 @@ module Make (P : Protocol.PROTOCOL) = struct
         sig_pruned = sig_pruned ();
         canon_hits = canon_hits ();
         cutover = !cutover;
-        steals = Array.fold_left ( + ) 0 steals_ctr;
-        handoffs = Array.fold_left ( + ) 0 handoffs_ctr;
+        steals = 0;
+        handoffs = 0;
         spilled_runs = 0;
         disk_probes = 0;
         depths;
@@ -805,62 +789,14 @@ module Make (P : Protocol.PROTOCOL) = struct
           incr n_aliases
         end
       in
-      (* Per-shard scratch: the fresh keys of this generation. The sharded
-         engine uses their store ids as slots; the barrier engine records
-         each one's first candidate index in [scratch_first], so later
-         duplicates resolve to it. *)
+      (* Per-shard scratch: the fresh keys of this generation, each with
+         its first candidate index in [scratch_first], so later duplicates
+         resolve to it. *)
       let scratch = Array.init d (fun _ -> Store.create ~key_len ()) in
       let scratch_first = Array.init d (fun _ -> Vec.create 0) in
-      let b = Parallel.Barrier.create d in
-      (* ---- sharded-engine plumbing (allocated only when it can run) --
-         One SPSC ring per ordered domain pair carries batched cross-shard
-         candidates; per-domain fixed buffers amortize the ring traffic.
-         Each owner keeps a private resolution log of
-         (candidate key, target) pairs — single-writer, merged by worker 0
-         at generation end in candidate-key order, which replays the
-         sequential id assignment exactly. *)
-      let sharded = engine = Sharded && d > 1 in
-      let sd = if sharded then d else 0 in
-      (* [kmax] bounds successors per state (each of the n processes
-         contributes at most two, via a coin), so
-         [ckey = frontier index * kmax + successor position] is globally
-         unique and sorts by (frontier index, position) — the sequential
-         discovery order. *)
+      (* [kmax] bounds successors per state: each of the n processes
+         contributes at most two, via a coin. *)
       let kmax = max 1 (2 * n_procs) in
-      let ring_cap = 64 in
-      let rings =
-        Array.init sd (fun _ ->
-            Array.init sd (fun _ -> Parallel.Spsc.create ~dummy:[||] ring_cap))
-      in
-      let dummy_handoff =
-        { h_ckey = 0; h_key = Bytes.empty; h_rep = rep0; h_orbit = 0 }
-      in
-      let out_buf =
-        Array.init sd (fun _ ->
-            Array.init sd (fun _ -> Array.make handoff_batch dummy_handoff))
-      in
-      let out_len = Array.init sd (fun _ -> Array.make sd 0) in
-      (* owner-side, single-writer per slot: resolution log, fresh-slot
-         vectors (reversed; slot s = index s after the sort-phase rev) *)
-      let logs : (int * int) list ref array =
-        Array.init sd (fun _ -> ref [])
-      in
-      let sorted_logs : (int * int) array array = Array.make sd [||] in
-      let slot_reps_rev : state list ref array =
-        Array.init sd (fun _ -> ref [])
-      in
-      let slot_orbs_rev : int list ref array =
-        Array.init sd (fun _ -> ref [])
-      in
-      let slot_reps_arr : state array array = Array.make sd [||] in
-      let slot_orbs_arr : int array array = Array.make sd [||] in
-      (* per-generation: successor labels in position order (disjoint slot
-         writes), per-shard frontier worklists + steal cursors, and the
-         termination counter (unexpanded states + in-flight candidates) *)
-      let gen_labels : label array array ref = ref [||] in
-      let wl : int array array ref = ref [||] in
-      let wl_cursor = Array.init sd (fun _ -> Atomic.make 0) in
-      let pending = Atomic.make 0 in
       (* Exploration state: fresh, or rebuilt from the snapshot. In a
          snapshot all expanded states form the prefix [0, n_expanded) of
          the id order and the pending frontier is the rest. *)
@@ -869,8 +805,10 @@ module Make (P : Protocol.PROTOCOL) = struct
         | None -> ([| rep0 |], [| orbit0 |], [||])
         | Some sp -> (sp.sp_states, sp.sp_orbits, sp.sp_succs)
       in
-      (* Shared per-generation structures. Plain refs: every write is
-         published to the readers of the next phase by the barrier. *)
+      (* Shared per-generation structures. Plain refs: a unit's writes are
+         published by its atomic completion mark, which the supervisor
+         reads before the next step, and the supervisor's writes by the
+         atomic publication of the next epoch. *)
       let stop = ref false in
       let n_expanded = ref (Array.length init_succs) in
       let frontier =
@@ -901,7 +839,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       let trans_chunks =
         ref (if Array.length init_succs = 0 then [] else [ init_succs ])
       in
-      (* stats accumulators (worker 0 only) *)
+      (* stats accumulators (the supervisor only) *)
       let depth = ref (match resumed with Some sp -> sp.sp_depth | None -> 0) in
       let depths_rev =
         ref (match resumed with Some sp -> sp.sp_depths_rev | None -> [])
@@ -920,15 +858,11 @@ module Make (P : Protocol.PROTOCOL) = struct
       let max_frontier =
         ref (match resumed with Some sp -> sp.sp_max_frontier | None -> 1)
       in
+      (* The exception that ended the run. Only the calling domain records
+         one: a crew worker that raises just dies, and the supervisor
+         requeues its units. *)
       let failure = ref None in
-      let fail_mutex = Mutex.create () in
-      let guard f =
-        try f ()
-        with e ->
-          Mutex.lock fail_mutex;
-          (match !failure with None -> failure := Some e | Some _ -> ());
-          Mutex.unlock fail_mutex
-      in
+      let guard f = try f () with e -> failure := Some e in
       orbit_sum :=
         (match resumed with Some sp -> sp.sp_orbit_sum | None -> orbit0);
       (* (Re)build the interning tables. The codec dump keeps re-encoded
@@ -941,51 +875,15 @@ module Make (P : Protocol.PROTOCOL) = struct
           load_parent kxs.(0) st;
           shard_add (state_owner st) kxs.(0).k_parent 0 id)
         init_states;
-      (* Per-engine setup of a wide (parallel-mode) generation, run by
-         the single worker that just closed the previous one — and again
-         by the supervisor when a failed sharded attempt is replayed (the
-         reset below is exactly what makes a retry start from a clean
-         slate). *)
+      (* Setup of a wide (parallel-mode) generation, run by the
+         supervisor as it closes the previous one. *)
       let prep_parallel_gen head =
         let nf = Array.length head in
-        match engine with
-        | Barrier ->
-          succ_lists := Array.make nf ([], Bytes.empty);
-          trans := Array.make nf []
-        | Sharded ->
-          gen_labels := Array.make nf [||];
-          let counts = Array.make d 0 in
-          Array.iter
-            (fun st ->
-              let s = state_owner st in
-              counts.(s) <- counts.(s) + 1)
-            head;
-          let wls = Array.init d (fun s -> Array.make counts.(s) 0) in
-          let fill = Array.make d 0 in
-          Array.iteri
-            (fun i st ->
-              let s = state_owner st in
-              wls.(s).(fill.(s)) <- i;
-              fill.(s) <- fill.(s) + 1)
-            head;
-          wl := wls;
-          for s = 0 to d - 1 do
-            Atomic.set wl_cursor.(s) 0;
-            logs.(s) := [];
-            slot_reps_rev.(s) := [];
-            slot_orbs_rev.(s) := [];
-            Store.reset scratch.(s)
-          done;
-          (* defensive: a previous generation that aborted on a failure
-             may have left batches in flight *)
-          Array.iter
-            (Array.iter (fun r ->
-                 while Parallel.Spsc.try_pop r <> None do () done))
-            rings;
-          Atomic.set pending nf
+        succ_lists := Array.make nf ([], Bytes.empty);
+        trans := Array.make nf []
       in
-      (* Mode of the generation about to run; worker 0 decides the next
-         one at every generation end. *)
+      (* Mode of the generation about to run; the supervisor decides the
+         next one at every generation end. *)
       let seq_gen = ref (d = 1 || Array.length !frontier < par_threshold) in
       if not !seq_gen then prep_parallel_gen !frontier;
       (* Batch-carry: under memory pressure a generation's frontier is
@@ -1085,7 +983,7 @@ module Make (P : Protocol.PROTOCOL) = struct
           else Array.append !pending_carry fresh
         in
         let nn = Array.length next in
-        if nn = 0 || !failure <> None then stop := true
+        if nn = 0 then stop := true
         else begin
           if nn > !max_frontier then max_frontier := nn;
           (* graceful degradation: past the soft memory watermark, halve
@@ -1141,9 +1039,10 @@ module Make (P : Protocol.PROTOCOL) = struct
           | _ -> ())
         end
       in
-      (* One whole generation, sequentially (worker 0 / warm-up). Interns
-         straight into the shard tables so later parallel generations
-         find the states in the right shard. *)
+      (* One whole generation, sequentially, on the calling domain (the
+         warm-up, or the supervisor). Interns straight into the shard
+         tables so later parallel generations find the states in the
+         right shard. *)
       let expand_seq () =
         let fr = !frontier in
         let nf = Array.length fr in
@@ -1235,312 +1134,6 @@ module Make (P : Protocol.PROTOCOL) = struct
         guard expand_seq;
         if !failure <> None then stop := true
       in
-      (* ---------------- sharded engine: one wide generation ----------
-         No per-phase barriers: every domain continuously expands frontier
-         states (its own shards' worklists first, stealing from the
-         heaviest shard when dry), resolves candidates its shards own the
-         moment they arrive, and hands the rest over the mailboxes. The
-         only synchronization is the termination counter [pending] plus
-         two barriers at generation end (logs complete; logs sorted),
-         after which worker 0 merges the per-owner logs in candidate-key
-         order — replaying exactly the sequential id scan, so the result
-         is bit-identical to the barrier engine's and to [explore]'s.
-
-         SLOTS and SHARDS are distinct notions throughout: a slot is a
-         crew member (a domain), a shard a partition of the state space.
-         The unsupervised crew pins slot [s] to shard [s] for the whole
-         run ([leased = ref [s]]); the supervised crew hands shards out
-         as LEASES a slot holds until the generation attempt ends, so a
-         crew smaller than [d] — a worker that exhausted its restart
-         budget — still serves every shard, and a dead owner's shard is
-         reassigned to a survivor by the same CAS claim that hands out
-         phase work. *)
-      let log_add o ckey target = logs.(o) := (ckey, target) :: !(logs.(o)) in
-      (* Owner-side resolution for [shard]; only its current lease holder
-         may call this. Targets: [id >= 0] an already-interned state;
-         [-1 - slot] the [slot]-th distinct fresh key this shard saw this
-         generation. Which arrival creates the slot is a race, but rep
-         and orbit are functions of the key, and the id is assigned at
-         merge time to the occurrence that is first in candidate-key
-         order — so arrival order never shows. *)
-      let resolve_local shard ~ckey ~key ~rep ~orbit =
-        let id = shard_find shard key 0 in
-        if id >= 0 then log_add shard ckey id
-        else begin
-          let scr = scratch.(shard) in
-          let slot = Store.find scr key 0 in
-          if slot >= 0 then log_add shard ckey (-1 - slot)
-          else begin
-            let slot = Store.add scr key 0 in
-            slot_reps_rev.(shard) := rep :: !(slot_reps_rev.(shard));
-            slot_orbs_rev.(shard) := orbit :: !(slot_orbs_rev.(shard));
-            log_add shard ckey (-1 - slot)
-          end
-        end
-      in
-      (* Pop every producer's ring into [shard]'s resolution structures.
-         Single-consumer discipline: only the shard's current lease
-         holder calls this. A slot's own ring for a shard it leases can
-         only hold batches it pushed before acquiring the lease
-         mid-attempt, so popping it is same-thread and safe. *)
-      let drain_shard shard =
-        let got = ref false in
-        for p = 0 to d - 1 do
-          let continue_ = ref true in
-          while !continue_ do
-            match Parallel.Spsc.try_pop rings.(p).(shard) with
-            | Some batch ->
-              got := true;
-              Array.iter
-                (fun h ->
-                  resolve_local shard ~ckey:h.h_ckey ~key:h.h_key ~rep:h.h_rep
-                    ~orbit:h.h_orbit)
-                batch;
-              ignore (Atomic.fetch_and_add pending (-Array.length batch))
-            | None -> continue_ := false
-          done
-        done;
-        !got
-      in
-      let drain_leased leased =
-        List.fold_left
-          (fun acc s ->
-            let got = drain_shard s in
-            got || acc)
-          false !leased
-      in
-      let rec flush_ring ~abort slot ~leased o =
-        let len = out_len.(slot).(o) in
-        if len > 0 then
-          if
-            Parallel.Spsc.try_push rings.(slot).(o)
-              (Array.sub out_buf.(slot).(o) 0 len)
-          then begin
-            out_len.(slot).(o) <- 0;
-            handoffs_ctr.(slot) <- handoffs_ctr.(slot) + 1
-          end
-          else if abort () then
-            (* the consumer may be dead; the generation is aborting *)
-            out_len.(slot).(o) <- 0
-          else begin
-            (* full ring: draining our own inboxes is the one productive,
-               deadlock-free thing to do while the owner catches up *)
-            ignore (drain_leased leased);
-            Domain.cpu_relax ();
-            flush_ring ~abort slot ~leased o
-          end
-      in
-      (* Every buffered batch, including batches for shards we lease
-         ourselves (buffered before a mid-attempt lease claim): those go
-         through our own ring and come back out in [drain_shard]. *)
-      let flush_all ~abort slot ~leased =
-        for o = 0 to d - 1 do
-          flush_ring ~abort slot ~leased o
-        done
-      in
-      let hand_off ~abort slot ~leased o h =
-        if out_len.(slot).(o) = handoff_batch then flush_ring ~abort slot ~leased o;
-        out_buf.(slot).(o).(out_len.(slot).(o)) <- h;
-        out_len.(slot).(o) <- out_len.(slot).(o) + 1
-      in
-      let expand_one ~abort slot ~leased i =
-        Resilience.worker_tick ~domain:slot;
-        let kx = kxs.(slot) and st = !frontier.(i) in
-        load_parent kx st;
-        let labels = ref [] and pos = ref 0 in
-        let cross = ref 0 in
-        each_successor kx cfg st (fun label ->
-            labels := label :: !labels;
-            let rep = keyed_rep kx and orbit = kx.k_orbit in
-            let o = state_owner rep in
-            let ckey = (i * kmax) + !pos in
-            incr pos;
-            if List.mem o !leased then
-              resolve_local o ~ckey ~key:kx.k_key ~rep ~orbit
-            else begin
-              incr cross;
-              hand_off ~abort slot ~leased o
-                {
-                  h_ckey = ckey;
-                  h_key = Bytes.sub kx.k_key 0 key_len;
-                  h_rep = rep;
-                  h_orbit = orbit;
-                }
-            end);
-        !gen_labels.(i) <- Array.of_list (List.rev !labels);
-        (* retire the state token and charge the handed-off candidates in
-           one atomic step, so [pending] can never dip to 0 with work
-           still in flight *)
-        ignore (Atomic.fetch_and_add pending (!cross - 1))
-      in
-      (* Claim a batch of shard [s]'s frontier worklist for [slot]. *)
-      let expand_from ~abort slot ~leased s =
-        let ws = !wl.(s) in
-        let len = Array.length ws in
-        if Atomic.get wl_cursor.(s) >= len then 0
-        else begin
-          let c = Atomic.fetch_and_add wl_cursor.(s) steal_batch in
-          if c >= len then 0
-          else begin
-            let hi = min len (c + steal_batch) in
-            for x = c to hi - 1 do
-              expand_one ~abort slot ~leased ws.(x)
-            done;
-            hi - c
-          end
-        end
-      in
-      let try_steal ~abort slot ~leased =
-        let best = ref (-1) and best_rem = ref 0 in
-        for s = 0 to d - 1 do
-          if not (List.mem s !leased) then begin
-            let rem = Array.length !wl.(s) - Atomic.get wl_cursor.(s) in
-            if rem > !best_rem then begin
-              best := s;
-              best_rem := rem
-            end
-          end
-        done;
-        !best >= 0
-        &&
-        let got = expand_from ~abort slot ~leased !best in
-        if got > 0 then steals_ctr.(slot) <- steals_ctr.(slot) + 1;
-        got > 0
-      in
-      (* Serve the generation as [slot] until its work is drained or
-         [abort] fires: resolve candidates arriving for leased shards,
-         expand leased worklists (stealing from the heaviest other shard
-         when dry), and poll [claim] for orphaned shard leases while
-         there is nothing else to do. [beat] is the supervised crew's
-         heartbeat hook; the unsupervised crew passes no-ops for both. *)
-      let serve_loop ~abort ~claim ~beat slot leased =
-        let idle = ref 0 in
-        let running = ref true in
-        while !running do
-          beat ();
-          if abort () then running := false
-          else begin
-            let did = drain_leased leased in
-            let did =
-              List.fold_left
-                (fun acc s -> expand_from ~abort slot ~leased s > 0 || acc)
-                did !leased
-            in
-            let did =
-              did
-              ||
-              (* leased shards are dry: publish whatever we buffered,
-                 then go help the heaviest shard *)
-              (flush_all ~abort slot ~leased;
-               try_steal ~abort slot ~leased)
-            in
-            let did = claim () || did in
-            if did then idle := 0
-            else if Atomic.get pending = 0 then running := false
-            else begin
-              incr idle;
-              (* oversubscribed hosts need a real yield, not just a
-                 pause, or a descheduled peer can starve behind us *)
-              if !idle land 63 = 0 then Unix.sleepf 0.0001
-              else Domain.cpu_relax ()
-            end
-          end
-        done
-      in
-      let sort_phase me =
-        let arr = Array.of_list !(logs.(me)) in
-        Array.sort (fun (a, _) (c, _) -> compare (a : int) c) arr;
-        sorted_logs.(me) <- arr;
-        slot_reps_arr.(me) <- Array.of_list (List.rev !(slot_reps_rev.(me)));
-        slot_orbs_arr.(me) <- Array.of_list (List.rev !(slot_orbs_rev.(me)))
-      in
-      (* Worker 0, alone: d-way merge of the sorted logs in candidate-key
-         order — the same scan [assign_ids] does, with identical budget
-         semantics — building transitions and fresh states as it goes. *)
-      let merge_and_collect () =
-        let nf = Array.length !frontier in
-        let gl = !gen_labels in
-        let slot_ids =
-          Array.init d (fun o -> Array.make (Store.length scratch.(o)) (-2))
-        in
-        let idx = Array.make d 0 in
-        let tr = Array.make nf [] in
-        let fresh_rev = ref [] and orb_rev = ref [] in
-        let ncand = ref 0 and dups = ref 0 and discovered = ref 0 in
-        let cur_i = ref (-1) and buf = ref [] in
-        let commit () = if !cur_i >= 0 then tr.(!cur_i) <- List.rev !buf in
-        let more = ref true in
-        while !more do
-          let pick = ref (-1) and pick_ck = ref max_int in
-          for o = 0 to d - 1 do
-            if idx.(o) < Array.length sorted_logs.(o) then begin
-              let ck, _ = sorted_logs.(o).(idx.(o)) in
-              if ck < !pick_ck then begin
-                pick := o;
-                pick_ck := ck
-              end
-            end
-          done;
-          if !pick < 0 then more := false
-          else begin
-            let o = !pick in
-            let ckey, target = sorted_logs.(o).(idx.(o)) in
-            idx.(o) <- idx.(o) + 1;
-            incr ncand;
-            let i = ckey / kmax and pos = ckey mod kmax in
-            if i <> !cur_i then begin
-              commit ();
-              cur_i := i;
-              buf := []
-            end;
-            let dst =
-              if target >= 0 then begin
-                incr dups;
-                target
-              end
-              else begin
-                let s = -1 - target in
-                let sid = slot_ids.(o).(s) in
-                if sid = -2 then
-                  if !n_states < max_states then begin
-                    let id = !n_states in
-                    incr n_states;
-                    incr discovered;
-                    slot_ids.(o).(s) <- id;
-                    reserve_id o id;
-                    ignore (Store.add_from shard_tbl.(o) ~src:scratch.(o) s);
-                    orbit_sum := !orbit_sum + slot_orbs_arr.(o).(s);
-                    fresh_rev := slot_reps_arr.(o).(s) :: !fresh_rev;
-                    orb_rev := slot_orbs_arr.(o).(s) :: !orb_rev;
-                    id
-                  end
-                  else begin
-                    complete := false;
-                    set_stop Checker_stats.Budget;
-                    slot_ids.(o).(s) <- -1;
-                    -1
-                  end
-                else if sid >= 0 then begin
-                  incr dups;
-                  sid
-                end
-                else begin
-                  (* duplicate of a budget-dropped candidate *)
-                  complete := false;
-                  set_stop Checker_stats.Budget;
-                  -1
-                end
-              end
-            in
-            if dst >= 0 then buf := { dst; label = gl.(i).(pos) } :: !buf
-          end
-        done;
-        commit ();
-        finish_gen ~tr
-          ~fresh:(Array.of_list (List.rev !fresh_rev))
-          ~orbs:(Array.of_list (List.rev !orb_rev))
-          ~ncand:!ncand ~dups:!dups ~discovered:!discovered
-      in
       (* Phase A's unit: every successor of [st] as (label, rep, orbit),
          plus their keys back to back — one buffer per expanded state,
          not one string per candidate. *)
@@ -1553,16 +1146,6 @@ module Make (P : Protocol.PROTOCOL) = struct
             incr cnt;
             acc := (label, keyed_rep kx, kx.k_orbit) :: !acc);
         (List.rev !acc, Bytes.sub buf 0 (!cnt * key_len))
-      in
-      let phase_a me =
-        let fr = !frontier and sl = !succ_lists in
-        let nf = Array.length fr in
-        let i = ref me in
-        while !i < nf do
-          Resilience.worker_tick ~domain:me;
-          sl.(!i) <- expand_listed kxs.(me) fr.(!i);
-          i := !i + d
-        done
       in
       let flatten () =
         let fr = !frontier and sl = !succ_lists in
@@ -1685,15 +1268,6 @@ module Make (P : Protocol.PROTOCOL) = struct
         gen_dups := !dups;
         gen_disc := !discovered
       in
-      let phase_c me =
-        insert_fresh me;
-        let nf = Array.length !frontier in
-        let i = ref me in
-        while !i < nf do
-          transitions_of !i;
-          i := !i + d
-        done
-      in
       let collect () =
         let rs = !resolved and ci = !cand_id and cs = !cand_state
         and co = !cand_orbit in
@@ -1709,97 +1283,25 @@ module Make (P : Protocol.PROTOCOL) = struct
           ~orbs:(Array.of_list !orb_rev)
           ~ncand:!gen_cand ~dups:!gen_dups ~discovered:!gen_disc
       in
-      let body me =
-        let running = ref true in
-        while !running do
-          Parallel.Barrier.wait b;
-          (* generation inputs published; snapshot the mode into locals
-             NOW, then hold a decision barrier. Without it, worker 0 of a
-             sequential-mode generation would run the whole generation —
-             rewriting [stop]/[seq_gen] at its end — racing the other
-             workers' branch reads, so two workers could pick different
-             branches (different barrier counts) and wedge the crew. The
-             second barrier guarantees every worker has read the decision
-             before worker 0 may mutate it again. *)
-          let stop_now = !stop and seq_now = !seq_gen in
-          Parallel.Barrier.wait b;
-          (* decision taken by all workers *)
-          if stop_now then running := false
-          else if seq_now then begin
-            if me = 0 then expand_seq_guarded ()
-            (* other workers loop straight to the next start barrier *)
-          end
-          else begin
-            match engine with
-            | Barrier ->
-              guard (fun () -> phase_a me);
-              Parallel.Barrier.wait b;
-              if me = 0 then guard flatten;
-              Parallel.Barrier.wait b;
-              guard (fun () -> phase_b me);
-              Parallel.Barrier.wait b;
-              if me = 0 then guard assign_ids;
-              Parallel.Barrier.wait b;
-              guard (fun () -> phase_c me);
-              Parallel.Barrier.wait b;
-              if me = 0 then guard collect
-            | Sharded ->
-              guard (fun () ->
-                  serve_loop
-                    ~abort:(fun () -> !failure <> None)
-                    ~claim:(fun () -> false)
-                    ~beat:(fun () -> ())
-                    me (ref [ me ]));
-              Parallel.Barrier.wait b;
-              (* all logs complete (or the generation is aborting) *)
-              guard (fun () -> sort_phase me);
-              Parallel.Barrier.wait b;
-              if me = 0 then begin
-                (* never merge a partial generation: a dead worker's
-                   claimed states are missing from the logs *)
-                if !failure = None then guard merge_and_collect;
-                if !failure <> None then stop := true
-              end
-          end
-        done
-      in
-      (* -------- supervised crew (self-healing choreography) -----------
-         Supervision wraps whichever engine was requested — it no longer
-         swaps the sharded engine for the barrier one. Coordination runs
-         through {e epochs}: work units claimed by compare-and-set from a
-         shared table published as one atomic record.
+      (* -------- the crew (self-healing choreography) ------------------
+         Coordination runs through {e epochs}: work units claimed by
+         compare-and-set from a shared table published as one atomic
+         record. Every unit is idempotent — phase B resets its scratch
+         before resolving, phase C1 skips keys already interned, phases
+         A/C2 write disjoint array slots — so when a worker domain dies
+         the units it had claimed are simply requeued for the survivors
+         and the domain is respawned with bounded, jittered backoff. The
+         supervisor is slot 0 of the crew and claims units too, so an
+         epoch drains even after a slot has exhausted its restarts.
 
-         Barrier engine under supervision: each parallel phase is an
-         epoch of idempotent units — phase B resets its scratch before
-         resolving, phase C1 inserts with [replace], phases A/C2 write
-         disjoint array slots — so when a worker domain dies the units it
-         had claimed are simply requeued for the survivors and the domain
-         is respawned with bounded, jittered backoff.
-
-         Sharded engine under supervision: the epoch's unit table is the
-         shard LEASE table — claiming unit [u] leases shard [u]'s
-         resolution structures until the generation attempt ends, and
-         idle slots keep claiming orphaned leases, so a shrunken crew
-         still serves every shard. A death mid-attempt is different from
-         the barrier case: the dead slot's worklist claims and buffered
-         handoffs are unrecoverable, so the whole attempt aborts —
-         survivors park, the supervisor drains the rings, re-preps the
-         generation and replays it from its (unmutated) inputs, and the
-         dead domain respawns under the same bounded backoff. Durable
-         state — shard tables, ids, chunk lists — is only touched by
-         [merge_and_collect] after a clean attempt, which is what makes
-         the replay safe and the merged result bit-identical.
-
-         Either way, a domain that is still alive but stops heartbeating
-         while holding work can NOT be requeued safely (it may yet mutate
-         its shard), so after an escalating patience budget the whole
-         attempt is abandoned with {!Resilience.Stalled};
-         {!with_recovery} then resumes from the last durable snapshot. *)
+         A domain that is still alive but stops heartbeating while holding
+         a unit can NOT be requeued safely (it may yet write its slots),
+         so after an escalating patience budget the whole attempt is
+         abandoned with {!Resilience.Stalled}; {!with_recovery} then
+         resumes from the last durable snapshot. *)
       let supervised_drive () =
         let chunk = 32 in
-        let cur =
-          Atomic.make { ep_id = 0; ep_units = [||]; ep_fn = (fun _ _ -> ()) }
-        in
+        let cur = Atomic.make { ep_units = [||]; ep_fn = (fun _ _ -> ()) } in
         let quit = Atomic.make false in
         let alive = Array.init d (fun _ -> Atomic.make false) in
         let hb = Array.init d (fun _ -> Atomic.make 0) in
@@ -1807,41 +1309,50 @@ module Make (P : Protocol.PROTOCOL) = struct
         let doms : unit Domain.t option array = Array.make d None in
         let restart_count = Array.make d 0 in
         let respawn_at = Array.make d infinity in
-        let epoch_no = ref 0 in
         (* jitter desynchronizes respawns; the values never influence the
            explored graph, so a fixed seed keeps campaigns replayable *)
         let jrng = Rng.create 0x7E57 in
         let max_domain_restarts = 3 in
         let patience_base = 0.1 in
         let max_patience_levels = 3 in
+        (* Run every unit of [ep] that [slot] can claim; whether it
+           claimed any. *)
         let work ep slot =
           let us = ep.ep_units in
+          let did = ref false in
           for u = 0 to Array.length us - 1 do
             if
               Atomic.get us.(u) = 0
               && Atomic.compare_and_set us.(u) 0 (slot + 1)
             then begin
+              did := true;
               Atomic.incr hb.(slot);
               Resilience.worker_tick ~domain:slot;
               ep.ep_fn slot u;
               Atomic.set us.(u) (-1)
             end
-          done
+          done;
+          !did
         in
         let worker slot () =
           (try
              let idle = ref 0 in
              while not (Atomic.get quit) do
-               let ep = Atomic.get cur in
-               if Array.length ep.ep_units > 0 then work ep slot;
-               incr idle;
-               (* heartbeat + fault poll while idle, so a kill aimed at a
-                  domain between epochs still fires *)
-               if !idle land 1023 = 0 then begin
-                 Atomic.incr hb.(slot);
-                 Resilience.worker_tick ~domain:slot
-               end;
-               Domain.cpu_relax ()
+               if work (Atomic.get cur) slot then idle := 0
+               else begin
+                 incr idle;
+                 (* heartbeat + fault poll while idle, so a kill aimed at
+                    a domain between epochs still fires *)
+                 if !idle land 1023 = 0 then begin
+                   Atomic.incr hb.(slot);
+                   Resilience.worker_tick ~domain:slot
+                 end;
+                 (* between epochs and through sequential generations an
+                    idle worker must really yield, or on an oversubscribed
+                    host it competes with the supervisor for a core *)
+                 if !idle land 63 = 0 then Unix.sleepf 0.0001
+                 else Domain.cpu_relax ()
+               end
              done
            with _ -> ());
           Atomic.set alive.(slot) false
@@ -1868,19 +1379,19 @@ module Make (P : Protocol.PROTOCOL) = struct
                 ())
             doms
         in
-        (* One supervision pass over the crew, shared by every kind of
-           epoch. [us] is the unit (or lease) table — a cell at [w + 1]
-           means slot [w] holds work. Death is reported through
-           [on_death] (the barrier phases requeue the dead slot's units;
-           the sharded engine aborts the attempt) and the domain respawns
-           under bounded, jittered backoff; a live-but-silent holder gets
-           the escalating patience treatment and finally abandonment. *)
-        let monitor ~us ~last_hb ~t_mark ~level ~on_death =
+        (* One supervision pass over the crew. [us] is the epoch's unit
+           table — a cell at [w + 1] means slot [w] holds that unit. A dead
+           slot's units are requeued and the domain respawns under
+           bounded, jittered backoff; a live-but-silent holder gets the
+           escalating patience treatment and finally abandonment. *)
+        let monitor ~us ~last_hb ~t_mark ~level =
           let t = Checker_stats.now () in
           for w = 1 to d - 1 do
             if doms.(w) <> None && not abandoned.(w) then
               if not (Atomic.get alive.(w)) then begin
-                on_death w;
+                Array.iter
+                  (fun u -> ignore (Atomic.compare_and_set u (w + 1) 0))
+                  us;
                 if respawn_at.(w) = infinity then begin
                   if restart_count.(w) < max_domain_restarts then begin
                     let backoff =
@@ -1944,10 +1455,8 @@ module Make (P : Protocol.PROTOCOL) = struct
           done
         in
         let run_epoch ~n_units fn =
-          incr epoch_no;
           let ep =
             {
-              ep_id = !epoch_no;
               ep_units = Array.init n_units (fun _ -> Atomic.make 0);
               ep_fn = fn;
             }
@@ -1959,21 +1468,13 @@ module Make (P : Protocol.PROTOCOL) = struct
           let t_mark = Array.make d (Checker_stats.now ()) in
           let level = Array.make d 0 in
           let spins = ref 0 in
-          (* the supervisor is also slot 0 of the crew *)
-          work ep 0;
-          while not (all_done ()) do
-            (* requeued units are claimable again: take what is left *)
-            work ep 0;
-            if not (all_done ()) then begin
-              incr spins;
-              if !spins land 255 = 0 then Unix.sleepf 0.0002
-              else Domain.cpu_relax ();
-              monitor ~us ~last_hb ~t_mark ~level ~on_death:(fun w ->
-                  (* dead: its claimed units go back to the pool *)
-                  Array.iter
-                    (fun u -> ignore (Atomic.compare_and_set u (w + 1) 0))
-                    us)
-            end
+          (* the supervisor takes units too; requeued units are claimable
+             again, so it keeps taking what is left *)
+          while (ignore (work ep 0); not (all_done ())) do
+            incr spins;
+            if !spins land 255 = 0 then Unix.sleepf 0.0002
+            else Domain.cpu_relax ();
+            monitor ~us ~last_hb ~t_mark ~level
           done
         in
         let run_parallel_gen () =
@@ -2001,144 +1502,22 @@ module Make (P : Protocol.PROTOCOL) = struct
               done);
           collect ()
         in
-        (* ---- one supervised SHARDED generation -------------------------
-           The epoch's unit table doubles as the shard lease table:
-           claiming unit [u] (by the very CAS that claims phase work)
-           leases shard [u] to the claiming slot until the attempt ends.
-           A clean attempt drains [pending] to zero exactly like the
-           unsupervised crew; a death mid-attempt aborts and replays the
-           attempt from its unmutated inputs (see the section comment). *)
-        let run_sharded_gen () =
-          let attempts = ref 0 in
-          let again = ref true in
-          while !again do
-            again := false;
-            incr attempts;
-            let failed = Atomic.make false in
-            let death = ref None in
-            incr epoch_no;
-            let units = Array.init d (fun _ -> Atomic.make 0) in
-            let claim_for slot leased () =
-              let got = ref false in
-              for u = 0 to d - 1 do
-                if
-                  Atomic.get units.(u) = 0
-                  && Atomic.compare_and_set units.(u) 0 (slot + 1)
-                then begin
-                  leased := u :: !leased;
-                  got := true
-                end
-              done;
-              !got
-            in
-            let last_hb = Array.map Atomic.get hb in
-            let t_mark = Array.make d (Checker_stats.now ()) in
-            let level = Array.make d 0 in
-            let ticks = ref 0 in
-            (* rate-limited, and woven into the supervisor's [abort]
-               probe below so supervision keeps running even while the
-               supervisor is blocked pushing to a dead consumer's ring *)
-            let monitor0 () =
-              incr ticks;
-              if !ticks land 31 = 0 then
-                monitor ~us:units ~last_hb ~t_mark ~level ~on_death:(fun w ->
-                    if Atomic.compare_and_set failed false true then
-                      death := Some (Resilience.Killed { domain = w }))
-            in
-            let serve slot leased =
-              let abort =
-                if slot = 0 then fun () ->
-                  monitor0 ();
-                  Atomic.get failed
-                else fun () -> Atomic.get failed
-              in
-              serve_loop ~abort ~claim:(claim_for slot leased)
-                ~beat:(fun () -> Atomic.incr hb.(slot))
-                slot leased;
-              (* release every lease we hold — leases claimed mid-attempt
-                 would otherwise read as held forever *)
-              List.iter (fun u -> Atomic.set units.(u) (-1)) !leased
-            in
-            let ep =
-              {
-                ep_id = !epoch_no;
-                ep_units = units;
-                ep_fn = (fun slot u -> serve slot (ref [ u ]));
-              }
-            in
-            Atomic.set cur ep;
-            let leased0 = ref [] in
-            ignore (claim_for 0 leased0 ());
-            serve 0 leased0;
-            (* Fence, then settle. The fence makes any late-waking
-               participant exit before touching shared state — without
-               it a straggler could still be resolving while the
-               supervisor sorts, or while the next generation is being
-               prepped. Settling waits out units held by live slots,
-               absorbs unclaimed ones, and treats units held by the dead
-               as inert (a death AFTER the work drained does not abort:
-               the dying slot's writes are published by its last
-               [pending] decrement and its alive flag). *)
-            Atomic.set failed true;
-            let settled = ref false in
-            while not !settled do
-              settled := true;
-              Array.iter
-                (fun u ->
-                  match Atomic.get u with
-                  | -1 -> ()
-                  | 0 ->
-                    if not (Atomic.compare_and_set u 0 (-1)) then
-                      settled := false
-                  | v ->
-                    let w = v - 1 in
-                    if w > 0 && Atomic.get alive.(w) && not abandoned.(w)
-                    then settled := false)
-                units;
-              if not !settled then begin
-                Domain.cpu_relax ();
-                monitor0 ()
-              end
-            done;
-            match !death with
-            | Some e ->
-              (* Replay the attempt. Each retry needs a fresh death and
-                 deaths are bounded by the restart budgets, so this
-                 terminates under the injected model; the cap is a
-                 backstop against a crash loop outside it. *)
-              if !attempts > 1 + (d * (max_domain_restarts + 1)) then
-                raise e;
-              Array.iter
-                (Array.iter (fun r ->
-                     while Parallel.Spsc.try_pop r <> None do () done))
-                rings;
-              Array.iter (fun row -> Array.fill row 0 d 0) out_len;
-              prep_parallel_gen !frontier;
-              again := true
-            | None -> ()
-          done;
-          (* logs complete. The sort is idempotent, so it runs as an
-             ordinary requeue-on-death epoch; the merge replays the
-             sequential id scan on this thread, as always. *)
-          run_epoch ~n_units:d (fun _ s -> sort_phase s);
-          merge_and_collect ()
-        in
-        (* warm-up, as in the barrier engine; exceptions (a kill aimed at
+        (* warm-up: no worker domain until the frontier is wide enough
+           — or exploration finishes first. Exceptions (a kill aimed at
            domain 0, an injected allocation failure) propagate to the
-           outer guard *)
+           outer guard. *)
         while (not !stop) && !seq_gen do
           expand_seq ()
         done;
         if not !stop then begin
+          (* a resumed run keeps the original run's recorded cutover *)
           if !cutover = None then cutover := Some !depth;
           for w = 1 to d - 1 do
             spawn w
           done;
           Fun.protect ~finally:shutdown (fun () ->
               while not !stop do
-                if !seq_gen then expand_seq ()
-                else if engine = Sharded then run_sharded_gen ()
-                else run_parallel_gen ()
+                if !seq_gen then expand_seq () else run_parallel_gen ()
               done)
         end
       in
@@ -2149,23 +1528,7 @@ module Make (P : Protocol.PROTOCOL) = struct
         while not !stop do
           expand_seq_guarded ()
         done
-      else if supervise then guard supervised_drive
-      else begin
-        (* warm-up: no domains, no barriers, until the frontier is wide
-           enough — or exploration finishes first *)
-        while (not !stop) && !seq_gen do
-          expand_seq_guarded ()
-        done;
-        if not !stop then begin
-          (* a resumed run keeps the original run's recorded cutover *)
-          if !cutover = None then cutover := Some !depth;
-          let workers =
-            Array.init (d - 1) (fun i -> Domain.spawn (fun () -> body (i + 1)))
-          in
-          body 0;
-          Array.iter Domain.join workers
-        end
-      end;
+      else guard supervised_drive;
       (* Build the result from a boundary image. When the boundary has
          unexpanded frontier states (stopped by a signal, or degraded out
          of an [Out_of_memory]), their transition lists are empty in the
@@ -2227,23 +1590,18 @@ module Make (P : Protocol.PROTOCOL) = struct
         result_of (capture_boundary ()) ~complete:!complete
     end
 
-  let default_handoff_batch = 64
-  let default_steal_batch = 32
-
   let explore_with_stats ?(max_states = 2_000_000) ?(reduction = Full)
       ?snapshot_every ?snapshot_to ?resume_from ?mem_soft_limit_mb ?deadline_s
       ?(salvage = false) cfg =
     explore_impl ~max_states ~domains:1 ~par_threshold:0 ~reduction
-      ~engine:Sharded ~handoff_batch:default_handoff_batch
-      ~steal_batch:default_steal_batch ~snapshot_every ~snapshot_to
-      ~resume_from ~mem_soft_limit_mb ~deadline_s ~salvage ~supervise:false cfg
+      ~snapshot_every ~snapshot_to ~resume_from ~mem_soft_limit_mb ~deadline_s
+      ~salvage cfg
 
   let default_par_threshold ~domains = 1024 * (domains - 1)
 
   let explore_par ?(max_states = 2_000_000) ?domains ?par_threshold
-      ?(reduction = Full) ?(engine = Sharded) ?handoff_batch ?steal_batch
-      ?snapshot_every ?snapshot_to ?resume_from ?mem_soft_limit_mb ?deadline_s
-      ?(salvage = false) ?supervise cfg =
+      ?(reduction = Full) ?snapshot_every ?snapshot_to ?resume_from
+      ?mem_soft_limit_mb ?deadline_s ?(salvage = false) cfg =
     let domains =
       match domains with
       | Some d -> max 1 d (* explicit override, even past the host count *)
@@ -2254,23 +1612,8 @@ module Make (P : Protocol.PROTOCOL) = struct
       | Some t -> max 0 t
       | None -> default_par_threshold ~domains
     in
-    let supervise =
-      match supervise with
-      | Some s -> s
-      | None ->
-        (* domain faults armed means the caller wants them absorbed:
-           default the self-healing crew on so the campaign exercises it *)
-        Resilience.has_domain_faults ()
-    in
-    let handoff_batch =
-      match handoff_batch with Some v -> v | None -> default_handoff_batch
-    in
-    let steal_batch =
-      match steal_batch with Some v -> v | None -> default_steal_batch
-    in
-    explore_impl ~max_states ~domains ~par_threshold ~reduction ~engine
-      ~handoff_batch ~steal_batch ~snapshot_every ~snapshot_to ~resume_from
-      ~mem_soft_limit_mb ~deadline_s ~salvage ~supervise cfg
+    explore_impl ~max_states ~domains ~par_threshold ~reduction ~snapshot_every
+      ~snapshot_to ~resume_from ~mem_soft_limit_mb ~deadline_s ~salvage cfg
 
   let explore ?(max_states = 2_000_000) ?(reduction = Full) ?snapshot_every
       ?snapshot_to ?resume_from ?deadline_s ?(salvage = false) cfg =
@@ -2282,10 +1625,8 @@ module Make (P : Protocol.PROTOCOL) = struct
          suite cross-checks this on every in-tree protocol). *)
       fst
         (explore_impl ~max_states ~domains:1 ~par_threshold:0 ~reduction
-           ~engine:Sharded ~handoff_batch:default_handoff_batch
-           ~steal_batch:default_steal_batch ~snapshot_every ~snapshot_to
-           ~resume_from ~mem_soft_limit_mb:None ~deadline_s ~salvage
-           ~supervise:false cfg)
+           ~snapshot_every ~snapshot_to ~resume_from ~mem_soft_limit_mb:None
+           ~deadline_s ~salvage cfg)
 
   (* ---------------------------------------------------------------- *)
   (* external-memory exploration (disk-backed visited set)             *)

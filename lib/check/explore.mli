@@ -24,27 +24,6 @@ type reduction =
 val reduction_tag : reduction -> string
 (** ["full"] / ["canon"], as rendered by fingerprints and the CLI. *)
 
-(** Choreography of the wide (parallel-mode) generations of
-    {!Make.explore_par}. Both engines produce bit-identical graphs and
-    statistics; they differ only in how the work reaches the domains. *)
-type engine =
-  | Barrier
-      (** phase-per-barrier: expand, flatten, resolve, assign ids,
-          collect — five barriers per generation, every domain in
-          lock-step *)
-  | Sharded
-      (** continuous shard owners (the default): each domain owns a
-          hash-partitioned slice of the visited set, expands its own
-          shard's frontier worklist, resolves arriving candidates
-          immediately and hands cross-shard successors over batched SPSC
-          mailboxes; idle domains steal frontier batches from the
-          heaviest shard. Two barriers per generation (logs complete,
-          logs sorted), then one merge in candidate order replays the
-          sequential id assignment exactly (DESIGN.md §13). *)
-
-val engine_tag : engine -> string
-(** ["barrier"] / ["sharded"], as rendered by benches and the CLI. *)
-
 module Make (P : Protocol.PROTOCOL) : sig
   type config = {
     ids : int array;
@@ -176,40 +155,34 @@ module Make (P : Protocol.PROTOCOL) : sig
     ?domains:int ->
     ?par_threshold:int ->
     ?reduction:reduction ->
-    ?engine:engine ->
-    ?handoff_batch:int ->
-    ?steal_batch:int ->
     ?snapshot_every:int ->
     ?snapshot_to:string ->
     ?resume_from:string ->
     ?mem_soft_limit_mb:int ->
     ?deadline_s:float ->
     ?salvage:bool ->
-    ?supervise:bool ->
     config ->
     graph * Checker_stats.t
   (** Frontier-parallel breadth-first exploration over [domains] worker
       domains (default [Domain.recommended_domain_count ()]; an explicit
       [~domains] is honored as given, even beyond the host's recommended
       count — benchmarks that oversubscribe must say so). The
-      state-interning table is sharded by structural-state hash with one
-      shard owned per domain; whichever [?engine] (default {!Sharded})
-      choreographs the wide generations, state ids are assigned by a
-      scan in discovery order, so the resulting graph — state numbering,
-      transition lists, [complete] flag — is bit-identical to {!explore}
-      for every input, including when [max_states] truncates the search.
-      [?handoff_batch] (default 64) sizes the sharded engine's cross-shard
-      mailbox batches; [?steal_batch] (default 32) sizes the frontier
-      batches a domain claims from a worklist. Both only shape scheduling,
-      never the result.
+      state-interning table is sharded by structural-state hash, one
+      shard per domain. Each wide generation runs as a sequence of work
+      epochs — expand, resolve, insert, transitions — whose units any
+      crew member claims by compare-and-set; state ids are assigned by
+      one scan in discovery order, so the resulting graph — state
+      numbering, transition lists, [complete] flag — is bit-identical to
+      {!explore} for every input, including when [max_states] truncates
+      the search (DESIGN.md §7).
 
       Generations whose frontier is narrower than [par_threshold]
-      (default [1024 * (domains - 1)]) run sequentially on worker 0: no
-      domain is spawned until the frontier first reaches the threshold
-      (that depth is reported as [cutover] in the stats; [None] means the
-      whole run stayed sequential) and a draining frontier drops back to
-      one barrier per generation. [domains = 1] always runs inline
-      without spawning.
+      (default [1024 * (domains - 1)]) run sequentially on the calling
+      domain: no worker is spawned until the frontier first reaches the
+      threshold (that depth is reported as [cutover] in the stats; [None]
+      means the whole run stayed sequential), and a draining frontier
+      drops back to sequential generations while the crew idles.
+      [domains = 1] always runs inline without spawning.
 
       Checkpoint options as in {!explore_with_stats}. A snapshot taken by
       any explorer can be resumed by any other ([domains] is not part of
@@ -217,25 +190,16 @@ module Make (P : Protocol.PROTOCOL) : sig
       statistics are bit-identical (modulo wall-clock) when the
       interrupted and resuming runs use the same explorer settings.
 
-      [~supervise:true] (default: on exactly when a {!Resilience} plan
-      with domain faults is armed) wraps whichever [?engine] was
-      requested in the self-healing supervised choreography (DESIGN.md
-      §12, §14): workers claim work by compare-and-set from epoch tables
-      and report heartbeats; a worker domain that dies is respawned with
-      bounded, jittered backoff (the count lands in
-      {!Checker_stats.t.restarts}). Under the {!Barrier} engine the dead
-      slot's idempotent phase units are requeued onto the survivors;
-      under the {!Sharded} engine the epoch table doubles as a shard
-      {e lease} table — a dead owner's shard is reassigned to a survivor
-      by the same CAS claim, the in-flight generation attempt is
-      replayed from its unmutated inputs (rings drained, worklists
-      re-prepped), and a crew that has permanently shrunk still serves
-      every shard. A worker that wedges past an escalating patience
-      budget aborts the attempt with {!Resilience.Stalled} — degraded
-      into a flushed snapshot and a {!Checker_stats.Fault}-truncated
-      result when [~snapshot_to] is set, so {!with_recovery} can resume
-      it. Supervision produces the same bit-identical graph and
-      statistics as the unsupervised engines. *)
+      The crew is always supervised (DESIGN.md §12): workers report
+      heartbeats, and a worker domain that dies has its claimed units
+      requeued onto the survivors and is respawned with bounded,
+      jittered backoff (the count lands in {!Checker_stats.t.restarts};
+      0 when no fault fires). A worker that wedges past an escalating
+      patience budget aborts the run with {!Resilience.Stalled} —
+      degraded into a flushed snapshot and a
+      {!Checker_stats.Fault}-truncated result when [~snapshot_to] is set,
+      so {!with_recovery} can resume it. None of this changes the graph
+      or the statistics. *)
 
   val external_fingerprint : reduction:reduction -> config -> Digest.t * string
 (** Fingerprint of the external-memory explorer's checkpoints and run

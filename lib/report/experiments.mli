@@ -85,10 +85,11 @@ val e21_snapshot_overhead : speed -> Table.t list
     bit-identical to an uninterrupted run (DESIGN.md §10). *)
 
 val e22_chaos_matrix : speed -> Table.t list
-(** Seeded infrastructure-fault campaigns across the (engine x
-    supervision x storage) matrix: worker kills absorbed by supervision,
-    whole-attempt faults retried from the newest salvageable snapshot,
-    disk-visited byte quotas honoured as graceful stops (DESIGN.md §14). *)
+(** Seeded infrastructure-fault campaigns across the (explorer x
+    storage) matrix: worker kills absorbed by the parallel crew's
+    supervision, whole-attempt faults retried from the newest salvageable
+    snapshot, disk-visited byte quotas honoured as graceful stops
+    (DESIGN.md §14). *)
 
 val e23_serve_sweep : speed -> Table.t list
 (** The job-queue service's declarative sweep engine: a mutex m-matrix

@@ -179,8 +179,8 @@ module MkCheck (P : Protocol.PROTOCOL) = struct
               E.explore_with_stats ?max_states:cap
                 ~reduction:spec.Spec.reduction ~snapshot_to:snapshot
                 ?resume_from ?deadline_s ~salvage cfg
-            | Spec.Par eng ->
-              E.explore_par ?max_states:cap ~engine:eng
+            | Spec.Par ->
+              E.explore_par ?max_states:cap
                 ~reduction:spec.Spec.reduction ~snapshot_to:snapshot
                 ?resume_from ?deadline_s ~salvage cfg
           in

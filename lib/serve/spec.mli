@@ -14,7 +14,9 @@
 
 type kind = Check | Fuzz | Hunt
 type proto = Mutex | Cmp_mutex | Consensus | Election | Renaming | Ccp
-type engine = Seq | Par of Check.Explore.engine
+type engine =
+  | Seq  (** {!Check.Explore.Make.explore_with_stats} *)
+  | Par  (** {!Check.Explore.Make.explore_par} *)
 
 type t = {
   kind : kind;
@@ -56,6 +58,9 @@ val kind_to_string : kind -> string
 val proto_to_string : proto -> string
 val proto_of_string : string -> (proto, string) result
 val engine_to_string : engine -> string
+
+val engine_of_string : string -> (engine, string) result
+(** ["seq"] / ["par"]; anything else is an error naming both. *)
 
 val ident : t -> string
 (** Canonical one-line identity over every result-affecting field

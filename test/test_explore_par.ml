@@ -1,10 +1,10 @@
 open Anonmem
 open Check
 
-(* Cross-validation of the packed, delta-keyed engines against the
+(* Cross-validation of the packed, delta-keyed explorers against the
    string-keyed reference explorer ([explore] without checkpoint options,
    which re-encodes every candidate and dedups through a Hashtbl). The
-   engines promise a bit-identical graph — same state numbering,
+   explorers promise a bit-identical graph — same state numbering,
    transition lists, orbit sizes and completeness flag — for any domain
    count, under either reduction, so every check here is exact equality,
    not just "same verdicts". The external-memory engine materializes no
@@ -39,18 +39,18 @@ module Parity (P : Protocol.PROTOCOL) = struct
     let n_seq = Array.length seq.states in
     List.iter
       (fun d ->
-        (* threshold 0 forces either engine's parallel phases from depth
-           0; the default threshold exercises the sequential warm-up /
-           adaptive path *)
+        (* threshold 0 forces the parallel phases from depth 0; the
+           default threshold exercises the sequential warm-up / adaptive
+           path *)
         List.iter
-          (fun (engine, threshold) ->
+          (fun threshold ->
             let par, stats =
               E.explore_par ?max_states ~domains:d ?par_threshold:threshold
-                ~engine ~reduction cfg
+                ~reduction cfg
             in
             let tag what =
-              Printf.sprintf "%s %s (%s, %d domains, threshold %s): %s" P.name
-                red (Explore.engine_tag engine) d
+              Printf.sprintf "%s %s (%d domains, threshold %s): %s" P.name red
+                d
                 (match threshold with Some t -> string_of_int t | None -> "-")
                 what
             in
@@ -74,7 +74,7 @@ module Parity (P : Protocol.PROTOCOL) = struct
               stats.Checker_stats.n_states;
             (match (threshold, d > 1, n_seq > 1) with
             | Some 0, true, true ->
-              (* every generation after depth 0 ran the barrier phases *)
+              (* every generation after depth 0 ran the parallel phases *)
               Alcotest.(check bool)
                 (tag "cutover recorded")
                 true
@@ -98,11 +98,7 @@ module Parity (P : Protocol.PROTOCOL) = struct
               (tag "shard loads sum to states")
               n_seq
               (Array.fold_left ( + ) 0 stats.Checker_stats.shard_load))
-          [
-            (Explore.Sharded, None);
-            (Explore.Sharded, Some 0);
-            (Explore.Barrier, Some 0);
-          ])
+          [ None; Some 0 ])
       domains_under_test;
     let ws, ws_stats = E.explore_with_stats ?max_states ~reduction cfg in
     Alcotest.(check bool)
@@ -255,68 +251,56 @@ module PChain = Parity (Baseline.Chain_renaming.P)
 let test_chain_renaming () =
   PChain.run (PChain.E.config ~ids:[ 7; 13 ] ~inputs:[ (); () ] ())
 
-(* --- engine matrix: sequential vs barrier vs sharded --------------------
-   The sharded work-stealing engine promises the same bit-identical graph
-   as the barrier engine, for every domain count and any mailbox/steal
-   batch size — batches shape scheduling, never the result. Batch size 1
-   is the adversarial case: every cross-shard candidate rides its own ring
-   slot, maximizing handoff traffic and full-ring backpressure. *)
+(* --- engine matrix: the parallel crew vs the reference -----------------
+   The crew promises the reference explorer's graph bit for bit at every
+   domain count, under either reduction, with every wide generation
+   forced through the parallel phases (threshold 0). d = 1 is the inline
+   sequential path; d = 4 oversubscribes small hosts on purpose, which
+   is when unit claiming is most contended. *)
 
-let engines = [ Explore.Barrier; Explore.Sharded ]
-
-let matrix_domains = [ 2; 4 ]
-
-let batch_configs = [ (Some 1, Some 1); (Some 3, Some 2); (None, None) ]
+let matrix_domains = [ 1; 2; 3; 4 ]
 
 module Matrix (P : Protocol.PROTOCOL) = struct
   module E = Explore.Make (P)
 
   let run ?max_states (cfg : E.config) =
-    let seq = E.explore ?max_states cfg in
     List.iter
-      (fun domains ->
+      (fun reduction ->
+        let seq = E.explore ?max_states ~reduction cfg in
         List.iter
-          (fun engine ->
-            List.iter
-              (fun (handoff_batch, steal_batch) ->
-                let par, stats =
-                  E.explore_par ?max_states ~domains ~par_threshold:0 ~engine
-                    ?handoff_batch ?steal_batch cfg
-                in
-                let tag what =
-                  Printf.sprintf "%s [%s d=%d hb=%s sb=%s]: %s" P.name
-                    (Explore.engine_tag engine)
-                    domains
-                    (match handoff_batch with
-                    | Some v -> string_of_int v
-                    | None -> "-")
-                    (match steal_batch with
-                    | Some v -> string_of_int v
-                    | None -> "-")
-                    what
-                in
-                Alcotest.(check bool)
-                  (tag "same states") true
-                  (seq.E.states = par.E.states);
-                Alcotest.(check bool)
-                  (tag "same transitions") true
-                  (seq.E.succs = par.E.succs);
-                Alcotest.(check bool)
-                  (tag "same completeness") true
-                  (seq.E.complete = par.E.complete);
-                if stats.Checker_stats.complete then
-                  Alcotest.(check int)
-                    (tag "candidates = states + dedup_hits")
-                    (stats.Checker_stats.n_states
-                   + stats.Checker_stats.dedup_hits)
-                    stats.Checker_stats.candidates;
-                Alcotest.(check int)
-                  (tag "shard loads sum to states")
-                  (Array.length seq.E.states)
-                  (Array.fold_left ( + ) 0 stats.Checker_stats.shard_load))
-              batch_configs)
-          engines)
-      matrix_domains
+          (fun domains ->
+            let par, stats =
+              E.explore_par ?max_states ~domains ~par_threshold:0 ~reduction
+                cfg
+            in
+            let tag what =
+              Printf.sprintf "%s [%s d=%d]: %s" P.name
+                (Explore.reduction_tag reduction)
+                domains what
+            in
+            Alcotest.(check bool)
+              (tag "same states") true
+              (seq.E.states = par.E.states);
+            Alcotest.(check bool)
+              (tag "same transitions") true
+              (seq.E.succs = par.E.succs);
+            Alcotest.(check bool)
+              (tag "same orbits") true
+              (seq.E.orbits = par.E.orbits);
+            Alcotest.(check bool)
+              (tag "same completeness") true
+              (seq.E.complete = par.E.complete);
+            if stats.Checker_stats.complete then
+              Alcotest.(check int)
+                (tag "candidates = states + dedup_hits")
+                (stats.Checker_stats.n_states + stats.Checker_stats.dedup_hits)
+                stats.Checker_stats.candidates;
+            Alcotest.(check int)
+              (tag "shard loads sum to states")
+              (Array.length seq.E.states)
+              (Array.fold_left ( + ) 0 stats.Checker_stats.shard_load))
+          matrix_domains)
+      reductions
 end
 
 module MToy = Matrix (Test_runtime.Toy)
@@ -334,23 +318,19 @@ let test_engine_matrix () =
   MMutex.run mutex_cfg
 
 let test_engine_matrix_truncated () =
-  (* the budget must cut the merge scan at the exact same candidate in
-     every engine, at every batch size *)
+  (* the budget must cut the id scan at the exact same candidate at
+     every domain count *)
   List.iter
     (fun b ->
       MToy.run ~max_states:b (MToy.E.config ~ids:[ 5; 9 ] ~inputs:[ (); () ] ()))
     [ 1; 5; 17 ];
   MMutex.run ~max_states:40 mutex_cfg
 
-(* A worker domain killed by a seeded fault plan mid-campaign: supervised
-   mode must absorb it (respawn, requeue) and still produce the exact
-   sequential graph, whatever engine was requested. *)
-let test_sharded_supervised_kill () =
+(* A worker domain killed by a seeded fault plan mid-campaign: the crew
+   must absorb it (requeue its units, respawn it) and still produce the
+   exact sequential graph. *)
+let test_crew_absorbs_kill () =
   let seq = MMutex.E.explore mutex_cfg in
-  (* each crew width gets its own seeded kill: the victim's shard lease
-     must be reassigned (or the attempt replayed) without the engine
-     falling back to barrier phases, and the merged graph must still be
-     the sequential oracle's, bit for bit *)
   List.iter
     (fun domains ->
       let plan =
@@ -362,8 +342,7 @@ let test_sharded_supervised_kill () =
       Resilience.arm plan;
       Fun.protect ~finally:Resilience.disarm (fun () ->
           let par, stats =
-            MMutex.E.explore_par ~domains ~par_threshold:0
-              ~engine:Explore.Sharded ~supervise:true mutex_cfg
+            MMutex.E.explore_par ~domains ~par_threshold:0 mutex_cfg
           in
           let lbl msg = Printf.sprintf "d%d: %s" domains msg in
           Alcotest.(check bool)
@@ -435,10 +414,10 @@ let suite =
     Alcotest.test_case "par = seq: chain_renaming" `Quick
       test_chain_renaming;
     Alcotest.test_case "checker stats are coherent" `Quick test_stats_coherent;
-    Alcotest.test_case "engine matrix: barrier = sharded = seq" `Quick
+    Alcotest.test_case "engine matrix: crew d=1..4 = ref" `Quick
       test_engine_matrix;
     Alcotest.test_case "engine matrix under budget" `Quick
       test_engine_matrix_truncated;
-    Alcotest.test_case "sharded + supervise absorbs a seeded kill" `Quick
-      test_sharded_supervised_kill;
+    Alcotest.test_case "crew absorbs a seeded kill at d=2,4" `Quick
+      test_crew_absorbs_kill;
   ]

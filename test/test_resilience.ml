@@ -2,7 +2,7 @@ open Check
 
 (* Self-healing exploration under injected infrastructure faults. The
    contract: a seeded fault plan is deterministic and replayable; the
-   supervised parallel engine absorbs killed worker domains without
+   parallel explorer's supervised crew absorbs killed worker domains without
    changing the explored graph by a bit; [with_recovery] drives a
    checkpointing exploration through supervisor kills, allocation
    failures and torn snapshot writes to the exact fault-free result. *)
@@ -153,18 +153,27 @@ let test_mutate_write () =
 
 (* --------------------- supervised engine identity --------------------- *)
 
-(* With no faults armed, the supervised engine must be indistinguishable
-   from the barrier engine: same graph, same stats, both reductions. *)
+(* With no faults armed, the supervised crew must be indistinguishable
+   from the sequential explorer: same graph, same stats up to the fields
+   that describe the parallel layout (domain count, shard split, cutover
+   depth), both reductions. *)
 let test_supervised_bit_identity () =
   List.iter
     (fun (rname, reduction) ->
       let c = cfg () in
-      let og, os = E.explore_par ~domains:3 ~par_threshold:2 ~reduction c in
-      let sg, ss =
-        E.explore_par ~domains:3 ~par_threshold:2 ~reduction ~supervise:true c
-      in
+      let og, os = E.explore_with_stats ~reduction c in
+      let sg, ss = E.explore_par ~domains:3 ~par_threshold:2 ~reduction c in
       check_graph ("supervised/" ^ rname) og sg;
-      check_stats ("supervised/" ^ rname) os ss;
+      check_stats ("supervised/" ^ rname) os
+        {
+          ss with
+          Checker_stats.domains = 1;
+          shard_load = [| ss.Checker_stats.n_states |];
+          cutover = None;
+        };
+      Alcotest.(check bool)
+        (rname ^ ": the crew ran") true
+        (ss.Checker_stats.cutover <> None);
       Alcotest.(check int)
         (rname ^ ": no restarts without faults")
         0 ss.Checker_stats.restarts)
@@ -187,7 +196,6 @@ let test_supervised_absorbs_kills () =
     }
   in
   with_plan plan (fun () ->
-      (* supervision defaults on because domain faults are armed *)
       let sg, ss = E.explore_par ~domains:3 ~par_threshold:2 c in
       Alcotest.(check bool) "kills fired" true (Resilience.fired () >= 1);
       check_graph "killed workers" og sg;

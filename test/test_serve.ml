@@ -51,6 +51,8 @@ let test_spec_roundtrip () =
   let specs =
     [
       spec_check ~max_states:1000 ~deadline_s:1.5 ~priority:3 ();
+      Serve.Spec.make ~engine:Serve.Spec.Par Serve.Spec.Check
+        Serve.Spec.Mutex;
       Serve.Spec.make ~n:3 ~attempts:50 ~seed:7 Serve.Spec.Fuzz
         Serve.Spec.Consensus;
       Serve.Spec.make ~steps:500 ~strategy:Check.Hunt.Chaos Serve.Spec.Hunt
@@ -78,6 +80,28 @@ let test_spec_roundtrip () =
   (match Serve.Spec.parse "kind = check" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing proto must not parse");
+  Alcotest.(check bool)
+    "engine=par parses" true
+    (Serve.Spec.parse "kind = check\nproto = mutex\nengine = par"
+    = Ok (Serve.Spec.make ~engine:Serve.Spec.Par Serve.Spec.Check
+            Serve.Spec.Mutex));
+  (* the deleted engines' tokens are rejected, naming what is accepted *)
+  List.iter
+    (fun e ->
+      match Serve.Spec.parse ("kind = check\nproto = mutex\nengine = " ^ e) with
+      | Error msg ->
+        Alcotest.(check bool)
+          ("engine=" ^ e ^ " error lists seq|par")
+          true
+          (let affix = "seq|par" in
+           let n = String.length affix in
+           let rec go i =
+             i + n <= String.length msg
+             && (String.sub msg i n = affix || go (i + 1))
+           in
+           go 0)
+      | Ok _ -> Alcotest.fail ("engine=" ^ e ^ " must not parse"))
+    [ "sharded"; "barrier" ];
   match Serve.Spec.parse "kind = check\nproto = mutex\nfrobnicate = 1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown key must not parse"

@@ -75,7 +75,18 @@ let test_expand_deterministic_duplicate_free () =
   let cells = Serve.Sweep.expand spec in
   Alcotest.(check (list string)) "fault seed is part of the cell identity"
     [ "mutex-n2-m2-full"; "mutex-n2-m2-full-f42" ]
-    (List.map (fun (c : Serve.Sweep.cell) -> c.label) cells)
+    (List.map (fun (c : Serve.Sweep.cell) -> c.label) cells);
+  (* the engine axis: seq and the one parallel explorer *)
+  let spec =
+    parse_exn "name = e\nprotocols = mutex\nm = 2\nengines = seq, par\n"
+  in
+  let cells = Serve.Sweep.expand spec in
+  Alcotest.(check (list string)) "engine axis"
+    [ "mutex-n2-m2-full"; "mutex-n2-m2-full-par" ]
+    (List.map (fun (c : Serve.Sweep.cell) -> c.label) cells);
+  Alcotest.(check bool) "par cell runs explore_par" true
+    (List.map (fun (c : Serve.Sweep.cell) -> c.job.Serve.Spec.engine) cells
+    = [ Serve.Spec.Seq; Serve.Spec.Par ])
 
 let test_parse_rejects () =
   let bad =
@@ -85,6 +96,7 @@ let test_parse_rejects () =
       ("unknown protocol", "protocols = paxos\n");
       ("unknown verdict tag", "protocols = mutex\nexpect = maybe\n");
       ("malformed line", "protocols = mutex\nnot a kv line\n");
+      ("deleted engine", "protocols = mutex\nengines = seq, sharded\n");
     ]
   in
   List.iter
