@@ -27,7 +27,7 @@
    Runs APPEND to BENCH_checker.json (a JSON array of timestamped run
    objects), so the file accumulates a history across hosts and commits.
 
-   Two further kinds of workload ride on the same harness:
+   Three further kinds of workload ride on the same harness:
 
    - par-scaling: the states/s-vs-domains curve of the parallel explorer
      against the sequential one, one row per domain count d = 1..DOMAINS.
@@ -35,6 +35,10 @@
      graphs above 10^5 states (`make bench-shard` wires it in at 1.0); on
      a single-domain host the curve is the d = 1 row alone and the gate
      passes vacuously.
+
+   - props: the mutex property layer (to_flat, mutual exclusion,
+     deadlock freedom, starvation freedom) on amutex-m3-n3, with its
+     verdicts and the flat graph's bytes per state.
 
    - disk-vs-quotient (--disk): the external-memory explorer runs the
      full UNREDUCED Figure 1 mutex (amutex on m = 5, three lock-step
@@ -71,7 +75,7 @@ type entry = {
   label : string;
   kind : string;
       (* "par-vs-seq" | "reduced-vs-full" | "par-scaling" |
-         "disk-vs-quotient" *)
+         "disk-vs-quotient" | "props" *)
   a_name : string;
   a_json : string;
   b_name : string;
@@ -299,6 +303,76 @@ module Sweep (P : Protocol.PROTOCOL) = struct
         Some
           "external (disk-backed) full exploration; speedup column is \
            quotient-time/external-time, expected well below 1";
+      skipped = None;
+    }
+
+  (* The mutex property layer on one explored graph: [to_flat], then the
+     three verdicts [coordctl check mutex] prints, each timed min-of-reps
+     on the same graph. The flat graph's size is its reachable heap words
+     per state. *)
+  let props ~label (cfg : E.config) =
+    let g, sx = E.explore_with_stats cfg in
+    check_accounting ~label ~which:"explore" sx;
+    let best f =
+      let result = ref None and secs = ref infinity in
+      for _ = 1 to max 1 !reps do
+        let t0 = Unix.gettimeofday () in
+        let r = f () in
+        secs := Float.min !secs (Unix.gettimeofday () -. t0);
+        result := Some r
+      done;
+      (Option.get !result, !secs)
+    in
+    let flat, t_flat = best (fun () -> E.to_flat g) in
+    let me, t_me = best (fun () -> Check.Mutex_props.mutual_exclusion flat) in
+    let df, t_df = best (fun () -> Check.Mutex_props.deadlock_freedom flat) in
+    let sf, t_sf = best (fun () -> Check.Mutex_props.starvation_freedom flat) in
+    let n = Check.Flatgraph.n_states flat in
+    let bytes_per_state =
+      float_of_int (Obj.reachable_words (Obj.repr flat) * (Sys.word_size / 8))
+      /. float_of_int (max 1 n)
+    in
+    let total = t_flat +. t_me +. t_df +. t_sf in
+    let starvation =
+      match sf with None -> "none" | Some (p, _) -> str "p%d" p
+    in
+    Format.printf
+      "--- %s ---@.explore: %a@.props: to_flat %.3f s, ME %.3f s, DF %.3f s, \
+       SF %.3f s; ME %b, DF %b, starvation %s; flat graph %.1f B/state@.@."
+      label Check.Checker_stats.pp sx t_flat t_me t_df t_sf (me = None)
+      (df = None) starvation bytes_per_state;
+    let props_json =
+      String.concat ",\n"
+        [
+          str "  \"to_flat_s\": %.6f" t_flat;
+          str "  \"mutual_exclusion_s\": %.6f" t_me;
+          str "  \"deadlock_freedom_s\": %.6f" t_df;
+          str "  \"starvation_freedom_s\": %.6f" t_sf;
+          str "  \"total_s\": %.6f" total;
+          str "  \"mutual_exclusion\": %b" (me = None);
+          str "  \"deadlock_freedom\": %b" (df = None);
+          str "  \"starvation\": %S" starvation;
+          str "  \"states\": %d" n;
+          str "  \"transitions\": %d" (Check.Flatgraph.n_transitions flat);
+          str "  \"flat_bytes_per_state\": %.1f" bytes_per_state;
+        ]
+    in
+    {
+      label;
+      kind = "props";
+      a_name = "explore";
+      a_json = Check.Checker_stats.to_json sx;
+      b_name = "props";
+      b_json = "{\n" ^ props_json ^ "\n}";
+      speedup = sx.Check.Checker_stats.elapsed_s /. total;
+      domains = 1;
+      reduction_factor = 1.0;
+      peak_table = n;
+      full_complete = g.complete;
+      note =
+        Some
+          "speedup column is explore-time / (to_flat + ME + DF + SF) time; \
+           each property time is min-of-reps on one graph";
       skipped = None;
     }
 
@@ -546,6 +620,10 @@ let () =
      the gate (227k states > the 10^5 floor) --- *)
   add_all
     (SMutex.par_curve ~label:"amutex-m3-n3" ~domains
+       { ids = ids 3; inputs = units 3; namings = sym 3 3 });
+  (* --- the mutex property layer on the same graph --- *)
+  add
+    (SMutex.props ~label:"amutex-m3-n3"
        { ids = ids 3; inputs = units 3; namings = sym 3 3 });
   if not !quick then begin
     add

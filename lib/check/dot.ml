@@ -12,31 +12,26 @@ let of_flat ?(max_nodes = 500) ?(highlight = []) (g : Flatgraph.t) ppf () =
   Format.fprintf ppf "digraph states {@.";
   Format.fprintf ppf "  rankdir=LR; node [shape=box, fontname=monospace];@.";
   for v = 0 to n - 1 do
-    let sts = g.statuses.(v) in
     let label =
-      String.init (Array.length sts) (fun p -> status_letter sts.(p))
+      String.init g.n_procs (fun p -> status_letter (Flatgraph.status g v p))
     in
-    let crit =
-      Array.fold_left
-        (fun acc s -> if s = Flatgraph.Crit then acc + 1 else acc)
-        0 sts
-    in
+    let crit = ref 0 in
+    for p = 0 to g.n_procs - 1 do
+      if Flatgraph.status g v p = Crit then incr crit
+    done;
     let color =
-      if crit >= 2 then " style=filled fillcolor=red"
+      if !crit >= 2 then " style=filled fillcolor=red"
       else if Hashtbl.mem highlighted v then " style=filled fillcolor=orange"
-      else if crit = 1 then " style=filled fillcolor=lightblue"
+      else if !crit = 1 then " style=filled fillcolor=lightblue"
       else ""
     in
     Format.fprintf ppf "  s%d [label=\"%d:%s\"%s];@." v v label color
   done;
   for v = 0 to n - 1 do
-    List.iter
-      (fun (t : Flatgraph.trans) ->
-        if t.dst < n then
-          Format.fprintf ppf "  s%d -> s%d [label=\"p%d\"%s];@." v t.dst
-            t.proc
-            (if t.enters_cs then " penwidth=2 color=blue" else ""))
-      g.succs.(v)
+    Flatgraph.iter_succs g v (fun dst proc enters_cs ->
+        if dst < n then
+          Format.fprintf ppf "  s%d -> s%d [label=\"p%d\"%s];@." v dst proc
+            (if enters_cs then " penwidth=2 color=blue" else ""))
   done;
   if Flatgraph.n_states g > n then
     Format.fprintf ppf

@@ -2209,25 +2209,38 @@ module Make (P : Protocol.PROTOCOL) = struct
       None
     with Found (sid, proc) -> Some (sid, proc)
 
+  (* Two plain passes over the boxed graph: count the edges, then fill the
+     CSR arrays in place. *)
   let to_flat g =
-    {
-      Flatgraph.n_procs = Array.length g.cfg.ids;
-      statuses =
-        Array.map
-          (fun st -> Array.map (fun l -> Flatgraph.of_status (P.status l)) st.locals)
-          g.states;
-      succs =
-        Array.map
-          (fun ts ->
-            List.map
-              (fun { dst; label } ->
-                {
-                  Flatgraph.dst;
-                  proc = label.proc;
-                  enters_cs = label.enters_cs;
-                })
-              ts)
-          g.succs;
-      complete = g.complete;
-    }
+    let n = Array.length g.states in
+    let n_procs = Array.length g.cfg.ids in
+    if n_procs > Flatgraph.max_procs then
+      invalid_arg "to_flat: too many processes for a flat graph";
+    let status_codes = Bytes.create (n * n_procs) in
+    let off = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      let locals = g.states.(v).locals in
+      for p = 0 to n_procs - 1 do
+        Bytes.unsafe_set status_codes
+          ((v * n_procs) + p)
+          (Char.unsafe_chr
+             (Flatgraph.code (Flatgraph.of_status (P.status locals.(p)))))
+      done;
+      off.(v + 1) <- off.(v) + List.length g.succs.(v)
+    done;
+    let dst = Array.make off.(n) 0 in
+    let label = Bytes.create off.(n) in
+    let rec fill e = function
+      | [] -> ()
+      | { dst = d; label = l } :: rest ->
+        dst.(e) <- d;
+        Bytes.unsafe_set label e
+          (Char.unsafe_chr
+             (Flatgraph.label_code ~proc:l.proc ~enters_cs:l.enters_cs));
+        fill (e + 1) rest
+    in
+    for v = 0 to n - 1 do
+      fill off.(v) g.succs.(v)
+    done;
+    { Flatgraph.n_procs; status_codes; off; dst; label; complete = g.complete }
 end

@@ -1,5 +1,9 @@
-(** Verdicts for the two mutual-exclusion requirements (paper §3.1) over a
-    fully explored state graph. *)
+(** Verdicts for the two mutual-exclusion requirements (paper §3.1), plus
+    starvation, over a fully explored state graph. The fair-cycle searches
+    run on the {!Flatgraph} CSR arrays with one scratch set per call
+    ({!starvation_freedom} shares it across processes), so they allocate
+    nothing per state or edge besides the witness they return. A witness
+    lists its component's states in descending order. *)
 
 type me_violation = { state : int; procs : int * int }
 (** A reachable state with two processes in their critical sections. *)

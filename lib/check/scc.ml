@@ -1,65 +1,92 @@
 type t = { count : int; component : int array }
 
-(* Iterative Tarjan. The explicit stack holds (vertex, remaining successor
-   list) frames; [index] doubles as the visited marker (-1 = unvisited). *)
-let compute ~n ~succs =
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let component = Array.make n (-1) in
-  let comp_count = ref 0 in
-  let rec_stack = Stack.create () in
+type workspace = {
+  index : int array;  (** DFS number, -1 = unvisited *)
+  lowlink : int array;
+  cursor : int array;  (** next edge of the vertex to look at *)
+  tarjan : int array;  (** Tarjan's stack of open components' vertices *)
+  calls : int array;  (** the DFS path, replacing recursion *)
+  comp : int array;
+}
+
+let workspace n =
+  {
+    index = Array.make n (-1);
+    lowlink = Array.make n 0;
+    cursor = Array.make n 0;
+    tarjan = Array.make n 0;
+    calls = Array.make n 0;
+    comp = Array.make n (-1);
+  }
+
+let all _ = true
+
+(* Iterative Tarjan. [calls] is the DFS path and [cursor.(v)] the next edge
+   of [v] to follow, so the search is two int stacks; a vertex is on
+   Tarjan's stack iff it is numbered but not yet assigned a component. *)
+let compute ?ws ?(vertex_ok = all) ?(edge_ok = all) (g : Flatgraph.t) =
+  let n = Flatgraph.n_states g in
+  let ws =
+    match ws with
+    | Some ws when Array.length ws.index = n -> ws
+    | Some _ -> invalid_arg "Scc.compute: workspace sized for another graph"
+    | None -> workspace n
+  in
+  let { index; lowlink; cursor; tarjan; calls; comp } = ws in
+  let off = g.off and dst = g.dst in
+  Array.fill index 0 n (-1);
+  Array.fill comp 0 n (-1);
+  let next_index = ref 0 and tsp = ref 0 and csp = ref 0 in
+  let count = ref 0 in
   let open_vertex v =
     index.(v) <- !next_index;
     lowlink.(v) <- !next_index;
     incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    Stack.push (v, succs v) rec_stack
-  in
-  let close_vertex v =
-    if lowlink.(v) = index.(v) then begin
-      let c = !comp_count in
-      incr comp_count;
-      let rec pop () =
-        match !stack with
-        | [] -> assert false
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          component.(w) <- c;
-          if w <> v then pop ()
-      in
-      pop ()
-    end
+    cursor.(v) <- off.(v);
+    tarjan.(!tsp) <- v;
+    incr tsp;
+    calls.(!csp) <- v;
+    incr csp
   in
   for root = 0 to n - 1 do
-    if index.(root) = -1 then begin
+    if index.(root) < 0 && vertex_ok root then begin
       open_vertex root;
-      while not (Stack.is_empty rec_stack) do
-        let v, pending = Stack.pop rec_stack in
-        match pending with
-        | [] ->
-          close_vertex v;
-          (* propagate lowlink to the parent frame *)
-          (match Stack.top_opt rec_stack with
-          | Some (p, _) -> lowlink.(p) <- min lowlink.(p) lowlink.(v)
-          | None -> ())
-        | w :: rest ->
-          Stack.push (v, rest) rec_stack;
-          if index.(w) = -1 then open_vertex w
-          else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
+      while !csp > 0 do
+        let v = calls.(!csp - 1) in
+        let e = cursor.(v) in
+        if e < off.(v + 1) then begin
+          cursor.(v) <- e + 1;
+          let w = dst.(e) in
+          if edge_ok e && vertex_ok w then
+            if index.(w) < 0 then open_vertex w
+            else if comp.(w) < 0 && index.(w) < lowlink.(v) then
+              lowlink.(v) <- index.(w)
+        end
+        else begin
+          decr csp;
+          if lowlink.(v) = index.(v) then begin
+            let c = !count in
+            incr count;
+            let w = ref (-1) in
+            while !w <> v do
+              decr tsp;
+              w := tarjan.(!tsp);
+              comp.(!w) <- c
+            done
+          end;
+          if !csp > 0 then begin
+            let p = calls.(!csp - 1) in
+            if lowlink.(v) < lowlink.(p) then lowlink.(p) <- lowlink.(v)
+          end
+        end
       done
     end
   done;
-  (* Tarjan numbers components in reverse topological order already. *)
-  { count = !comp_count; component }
+  { count = !count; component = comp }
 
 let components t =
   let buckets = Array.make t.count [] in
   Array.iteri
-    (fun v c -> buckets.(c) <- v :: buckets.(c))
+    (fun v c -> if c >= 0 then buckets.(c) <- v :: buckets.(c))
     t.component;
   buckets

@@ -11,7 +11,7 @@ let flat ~n_procs ~statuses ~edges =
   List.iter
     (fun (src, t) -> succs.(src) <- t :: succs.(src))
     edges;
-  { Check.Flatgraph.n_procs; statuses; succs; complete = true }
+  Check.Flatgraph.of_lists ~n_procs statuses succs
 
 let tr dst proc enters_cs = { Check.Flatgraph.dst; proc; enters_cs }
 

@@ -75,24 +75,16 @@ let test_edges_reference_declared_nodes () =
 
 let test_double_critical_is_red () =
   let flat =
-    {
-      Flatgraph.n_procs = 2;
-      statuses = [| [| Flatgraph.Crit; Crit |] |];
-      succs = [| [] |];
-      complete = true;
-    }
+    Flatgraph.of_lists ~n_procs:2 [| [| Flatgraph.Crit; Crit |] |] [| [] |]
   in
   Alcotest.(check bool) "two-critical state filled red" true
     (contains (render flat) "fillcolor=red")
 
 let test_highlight () =
   let flat =
-    {
-      Flatgraph.n_procs = 1;
-      statuses = [| [| Flatgraph.Try |]; [| Try |] |];
-      succs = [| [ { Flatgraph.dst = 1; proc = 0; enters_cs = false } ]; [] |];
-      complete = true;
-    }
+    Flatgraph.of_lists ~n_procs:1
+      [| [| Flatgraph.Try |]; [| Try |] |]
+      [| [ { Flatgraph.dst = 1; proc = 0; enters_cs = false } ]; [] |]
   in
   let s = render ~highlight:[ 1 ] flat in
   Alcotest.(check bool) "highlighted state is orange" true
@@ -103,15 +95,153 @@ let test_highlight () =
 
 let test_cs_entry_edge_is_bold () =
   let flat =
-    {
-      Flatgraph.n_procs = 1;
-      statuses = [| [| Flatgraph.Try |]; [| Crit |] |];
-      succs = [| [ { Flatgraph.dst = 1; proc = 0; enters_cs = true } ]; [] |];
-      complete = true;
-    }
+    Flatgraph.of_lists ~n_procs:1
+      [| [| Flatgraph.Try |]; [| Crit |] |]
+      [| [ { Flatgraph.dst = 1; proc = 0; enters_cs = true } ]; [] |]
   in
   Alcotest.(check bool) "CS-entry edge is penwidth=2" true
     (contains (render flat) "penwidth=2")
+
+(* The toy graph's export, pinned byte for byte: plain, elided at three
+   nodes, and with states 0 and 2 highlighted. *)
+let pinned_plain =
+  {|digraph states {
+  rankdir=LR; node [shape=box, fontname=monospace];
+  s0 [label="0:RR"];
+  s1 [label="1:TR"];
+  s2 [label="2:RT"];
+  s3 [label="3:TR"];
+  s4 [label="4:TT"];
+  s5 [label="5:RT"];
+  s6 [label="6:DR"];
+  s7 [label="7:TT"];
+  s8 [label="8:TT"];
+  s9 [label="9:RD"];
+  s10 [label="10:DT"];
+  s11 [label="11:TT"];
+  s12 [label="12:TT"];
+  s13 [label="13:TD"];
+  s14 [label="14:DT"];
+  s15 [label="15:DT"];
+  s16 [label="16:TD"];
+  s17 [label="17:DT"];
+  s18 [label="18:TD"];
+  s19 [label="19:TD"];
+  s20 [label="20:DD"];
+  s21 [label="21:DD"];
+  s22 [label="22:DD"];
+  s23 [label="23:DD"];
+  s0 -> s1 [label="p0"];
+  s0 -> s2 [label="p1"];
+  s1 -> s3 [label="p0"];
+  s1 -> s4 [label="p1"];
+  s2 -> s4 [label="p0"];
+  s2 -> s5 [label="p1"];
+  s3 -> s6 [label="p0"];
+  s3 -> s7 [label="p1"];
+  s4 -> s7 [label="p0"];
+  s4 -> s8 [label="p1"];
+  s5 -> s8 [label="p0"];
+  s5 -> s9 [label="p1"];
+  s6 -> s10 [label="p1"];
+  s7 -> s10 [label="p0"];
+  s7 -> s11 [label="p1"];
+  s8 -> s12 [label="p0"];
+  s8 -> s13 [label="p1"];
+  s9 -> s13 [label="p0"];
+  s10 -> s14 [label="p1"];
+  s11 -> s15 [label="p0"];
+  s11 -> s16 [label="p1"];
+  s12 -> s17 [label="p0"];
+  s12 -> s18 [label="p1"];
+  s13 -> s19 [label="p0"];
+  s14 -> s20 [label="p1"];
+  s15 -> s21 [label="p1"];
+  s16 -> s21 [label="p0"];
+  s17 -> s22 [label="p1"];
+  s18 -> s22 [label="p0"];
+  s19 -> s23 [label="p0"];
+}
+|}
+
+let pinned_elided =
+  {|digraph states {
+  rankdir=LR; node [shape=box, fontname=monospace];
+  s0 [label="0:RR"];
+  s1 [label="1:TR"];
+  s2 [label="2:RT"];
+  s0 -> s1 [label="p0"];
+  s0 -> s2 [label="p1"];
+  elided [shape=plaintext, label="(21 more states elided)"];
+}
+|}
+
+let pinned_highlighted =
+  {|digraph states {
+  rankdir=LR; node [shape=box, fontname=monospace];
+  s0 [label="0:RR" style=filled fillcolor=orange];
+  s1 [label="1:TR"];
+  s2 [label="2:RT" style=filled fillcolor=orange];
+  s3 [label="3:TR"];
+  s4 [label="4:TT"];
+  s5 [label="5:RT"];
+  s6 [label="6:DR"];
+  s7 [label="7:TT"];
+  s8 [label="8:TT"];
+  s9 [label="9:RD"];
+  s10 [label="10:DT"];
+  s11 [label="11:TT"];
+  s12 [label="12:TT"];
+  s13 [label="13:TD"];
+  s14 [label="14:DT"];
+  s15 [label="15:DT"];
+  s16 [label="16:TD"];
+  s17 [label="17:DT"];
+  s18 [label="18:TD"];
+  s19 [label="19:TD"];
+  s20 [label="20:DD"];
+  s21 [label="21:DD"];
+  s22 [label="22:DD"];
+  s23 [label="23:DD"];
+  s0 -> s1 [label="p0"];
+  s0 -> s2 [label="p1"];
+  s1 -> s3 [label="p0"];
+  s1 -> s4 [label="p1"];
+  s2 -> s4 [label="p0"];
+  s2 -> s5 [label="p1"];
+  s3 -> s6 [label="p0"];
+  s3 -> s7 [label="p1"];
+  s4 -> s7 [label="p0"];
+  s4 -> s8 [label="p1"];
+  s5 -> s8 [label="p0"];
+  s5 -> s9 [label="p1"];
+  s6 -> s10 [label="p1"];
+  s7 -> s10 [label="p0"];
+  s7 -> s11 [label="p1"];
+  s8 -> s12 [label="p0"];
+  s8 -> s13 [label="p1"];
+  s9 -> s13 [label="p0"];
+  s10 -> s14 [label="p1"];
+  s11 -> s15 [label="p0"];
+  s11 -> s16 [label="p1"];
+  s12 -> s17 [label="p0"];
+  s12 -> s18 [label="p1"];
+  s13 -> s19 [label="p0"];
+  s14 -> s20 [label="p1"];
+  s15 -> s21 [label="p1"];
+  s16 -> s21 [label="p0"];
+  s17 -> s22 [label="p1"];
+  s18 -> s22 [label="p0"];
+  s19 -> s23 [label="p0"];
+}
+|}
+
+let test_pinned_output () =
+  let flat = toy_flat () in
+  Alcotest.(check string) "plain" pinned_plain (render flat);
+  Alcotest.(check string) "max_nodes 3" pinned_elided (render ~max_nodes:3 flat);
+  Alcotest.(check string) "highlight 0, 2" pinned_highlighted
+    (render ~highlight:[ 0; 2 ] flat)
 
 let suite =
   [
@@ -123,4 +253,6 @@ let suite =
       test_double_critical_is_red;
     Alcotest.test_case "highlight list rendered orange" `Quick test_highlight;
     Alcotest.test_case "CS-entry edges bold" `Quick test_cs_entry_edge_is_bold;
+    Alcotest.test_case "toy export pinned byte for byte" `Quick
+      test_pinned_output;
   ]

@@ -27,17 +27,18 @@ let test_to_flat_mirrors_graph () =
   Alcotest.(check int) "state count"
     (Array.length g.E.states)
     (Check.Flatgraph.n_states flat);
+  Alcotest.(check int) "transition count"
+    (Array.fold_left (fun a ts -> a + List.length ts) 0 g.E.succs)
+    (Check.Flatgraph.n_transitions flat);
   Alcotest.(check bool) "complete flag carried" g.E.complete
     flat.Check.Flatgraph.complete;
   Array.iteri
     (fun i st ->
-      let want =
-        Array.map Check.Flatgraph.of_status (E.statuses st)
-      in
+      let want = Array.map Check.Flatgraph.of_status (E.statuses st) in
+      let got = Array.init 2 (Check.Flatgraph.status flat i) in
       Alcotest.(check bool)
         (Printf.sprintf "statuses of state %d" i)
-        true
-        (want = flat.Check.Flatgraph.statuses.(i)))
+        true (want = got))
     g.E.states;
   Array.iteri
     (fun i trans ->
@@ -47,10 +48,13 @@ let test_to_flat_mirrors_graph () =
             { Check.Flatgraph.dst; proc; enters_cs })
           trans
       in
+      let got = ref [] in
+      Check.Flatgraph.iter_succs flat i (fun dst proc enters_cs ->
+          got := { Check.Flatgraph.dst; proc; enters_cs } :: !got);
       Alcotest.(check bool)
-        (Printf.sprintf "succs of state %d" i)
+        (Printf.sprintf "succs of state %d, in edge order" i)
         true
-        (want = flat.Check.Flatgraph.succs.(i)))
+        (want = List.rev !got))
     g.E.succs
 
 let test_truncated_flag () =
@@ -62,14 +66,11 @@ let test_truncated_flag () =
 let test_every_edge_in_range () =
   let flat = E.to_flat (toy_graph ()) in
   let n = Check.Flatgraph.n_states flat in
-  Array.iter
-    (fun trans ->
-      List.iter
-        (fun { Check.Flatgraph.dst; proc; enters_cs = _ } ->
-          Alcotest.(check bool) "dst in range" true (dst >= 0 && dst < n);
-          Alcotest.(check bool) "proc in range" true (proc >= 0 && proc < 2))
-        trans)
-    flat.Check.Flatgraph.succs
+  for v = 0 to n - 1 do
+    Check.Flatgraph.iter_succs flat v (fun dst proc _ ->
+        Alcotest.(check bool) "dst in range" true (dst >= 0 && dst < n);
+        Alcotest.(check bool) "proc in range" true (proc >= 0 && proc < 2))
+  done
 
 let suite =
   [

@@ -3,10 +3,29 @@ open Anonmem
 (* Tarjan on known graphs, plus a differential check against a naive
    reachability-based SCC on random digraphs. *)
 
+(* A process-less CSR graph whose edges out of [v] are [succs v]. *)
+let csr n succs =
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + List.length (succs v)
+  done;
+  let dst = Array.make off.(n) 0 in
+  for v = 0 to n - 1 do
+    List.iteri (fun i w -> dst.(off.(v) + i) <- w) (succs v)
+  done;
+  {
+    Check.Flatgraph.n_procs = 0;
+    status_codes = Bytes.empty;
+    off;
+    dst;
+    label = Bytes.make off.(n) '\000';
+    complete = true;
+  }
+
 let scc_of edges n =
   let succs = Array.make n [] in
   List.iter (fun (u, v) -> succs.(u) <- v :: succs.(u)) edges;
-  Check.Scc.compute ~n ~succs:(fun v -> succs.(v))
+  Check.Scc.compute (csr n (fun v -> succs.(v)))
 
 let test_cycle () =
   let scc = scc_of [ (0, 1); (1, 2); (2, 0) ] 3 in
@@ -43,9 +62,39 @@ let test_large_path () =
   (* a long path must not blow the stack: 200k vertices *)
   let n = 200_000 in
   let scc =
-    Check.Scc.compute ~n ~succs:(fun v -> if v + 1 < n then [ v + 1 ] else [])
+    Check.Scc.compute (csr n (fun v -> if v + 1 < n then [ v + 1 ] else []))
   in
   Alcotest.(check int) "all singletons" n scc.count
+
+let test_large_cycle () =
+  (* one 10^6-vertex cycle: the DFS path is a million frames deep *)
+  let n = 1_000_000 in
+  let scc = Check.Scc.compute (csr n (fun v -> [ (v + 1) mod n ])) in
+  Alcotest.(check int) "one component" 1 scc.count;
+  Alcotest.(check bool) "every vertex in it" true
+    (Array.for_all (fun c -> c = 0) scc.component)
+
+let test_filters () =
+  (* 0 -> 1 -> 2 -> 0 with a chord 1 -> 0: dropping vertex 2 leaves the
+     0 <-> 1 cycle; dropping the chord's edge as well splits everything *)
+  let g =
+    csr 3 (fun v -> match v with 0 -> [ 1 ] | 1 -> [ 2; 0 ] | _ -> [ 0 ])
+  in
+  let no2 = Check.Scc.compute ~vertex_ok:(fun v -> v <> 2) g in
+  Alcotest.(check int) "two vertices, one component" 1 no2.count;
+  Alcotest.(check int) "excluded vertex has no component" (-1)
+    no2.component.(2);
+  let no_chord =
+    Check.Scc.compute ~vertex_ok:(fun v -> v <> 2) ~edge_ok:(fun e -> e <> 2) g
+  in
+  Alcotest.(check int) "two singletons" 2 no_chord.count;
+  let ws = Check.Scc.workspace 3 in
+  let a = Check.Scc.compute ~ws g in
+  Alcotest.(check int) "workspace run: whole cycle" 1 a.count;
+  let b = Check.Scc.compute ~ws ~edge_ok:(fun e -> e <> 1) g in
+  Alcotest.(check int) "reused workspace: fresh answer" 2 b.count;
+  Alcotest.(check (list int)) "0 <-> 1 only via the chord" [ 0; 0; 1 ]
+    (List.sort compare (Array.to_list b.component))
 
 (* O(n^3) reference: v and w share a component iff each reaches the other. *)
 let naive_same_component n succs =
@@ -74,7 +123,7 @@ let test_random_differential () =
       succs.(u) <- v :: succs.(u)
     done;
     let succs v = succs.(v) in
-    let scc = Check.Scc.compute ~n ~succs in
+    let scc = Check.Scc.compute (csr n succs) in
     let same = naive_same_component n succs in
     for v = 0 to n - 1 do
       for w = 0 to n - 1 do
@@ -102,6 +151,10 @@ let suite =
     Alcotest.test_case "self loop" `Quick test_self_loop;
     Alcotest.test_case "components listing" `Quick test_components_listing;
     Alcotest.test_case "deep path (no stack overflow)" `Quick test_large_path;
+    Alcotest.test_case "10^6-vertex cycle (no recursion)" `Quick
+      test_large_cycle;
+    Alcotest.test_case "vertex and edge filters, reused workspace" `Quick
+      test_filters;
     Alcotest.test_case "random graphs vs naive reachability" `Quick
       test_random_differential;
   ]
