@@ -17,29 +17,9 @@ let str = Printf.sprintf
 (* simulate                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type proto = Mutex | Cmp_mutex | Consensus | Election | Renaming | Ccp
-
-let proto_conv =
-  let parse = function
-    | "mutex" -> Ok Mutex
-    | "cmp-mutex" -> Ok Cmp_mutex
-    | "consensus" -> Ok Consensus
-    | "election" -> Ok Election
-    | "renaming" -> Ok Renaming
-    | "ccp" -> Ok Ccp
-    | s -> Error (`Msg (str "unknown protocol %S" s))
-  in
-  let print ppf p =
-    Format.pp_print_string ppf
-      (match p with
-      | Mutex -> "mutex"
-      | Cmp_mutex -> "cmp-mutex"
-      | Consensus -> "consensus"
-      | Election -> "election"
-      | Renaming -> "renaming"
-      | Ccp -> "ccp")
-  in
-  Cmdliner.Arg.conv (parse, print)
+module Spec = Serve.Spec
+module Catalog = Serve.Catalog
+module Runner = Serve.Runner
 
 module Sim (P : Protocol.PROTOCOL) = struct
   module R = Runtime.Make (P)
@@ -48,7 +28,7 @@ module Sim (P : Protocol.PROTOCOL) = struct
     let rng = Rng.create seed in
     let cfg : R.config =
       {
-        ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
+        ids = Catalog.ids_of n;
         inputs;
         namings = Array.init n (fun _ -> Naming.random rng m);
         rng = Some (Rng.split rng);
@@ -77,16 +57,9 @@ module Sim (P : Protocol.PROTOCOL) = struct
 end
 
 let simulate proto n m seed steps show_trace =
-  let m =
-    match (m, proto) with
-    | Some m, _ -> m
-    | None, Mutex -> 3
-    | None, Cmp_mutex -> 2
-    | None, (Consensus | Election | Renaming) -> (2 * n) - 1
-    | None, Ccp -> 2
-  in
+  let m = Option.value m ~default:(Spec.default_m proto ~n) in
   (match proto with
-  | Mutex ->
+  | Spec.Mutex ->
     let module S = Sim (Coord.Amutex.P) in
     S.run ~n ~m ~seed ~steps ~show_trace ~inputs:(Array.make n ())
   | Cmp_mutex ->
@@ -111,216 +84,9 @@ let simulate proto n m seed steps show_trace =
 (* check                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* How the `check` command explores: sequential oracle by default; the
-   frontier-parallel explorer with [--par]; checker statistics (states/sec,
-   dedup hit-rate, shard load) with [--stats]; the symmetry quotient with
-   [--canon] (sound for every protocol: verdicts coincide with the full
-   graph's, see DESIGN.md §9). [--max-states] truncates; [--snapshot-dir]
-   checkpoints each naming's exploration so a truncated or interrupted
-   sweep can be resumed with [--resume] (see DESIGN.md §10). [--deadline]
-   bounds wall clock; [--salvage]/[--inject-faults] are the self-healing
-   surface (see DESIGN.md §12). *)
-type chk_opts = {
-  par : bool;
-  domains : int option;
-  stats : bool;
-  reduction : Check.Explore.reduction;
-  max_states : int option;
-  snapshot_dir : string option;
-  snapshot_every : int option;
-  resume : string option;
-  deadline_s : float option;
-  salvage : bool;
-  recover : bool;  (** wrap explorations in [with_recovery] (fault campaigns) *)
-  saw_deadline : bool ref;
-      (** set when any exploration in the sweep stopped on the deadline,
-          so the driver can exit 6 rather than the generic truncated 3 *)
-}
-
-let default_chk_opts =
-  {
-    par = false;
-    domains = None;
-    stats = false;
-    reduction = Check.Explore.Full;
-    max_states = None;
-    snapshot_dir = None;
-    snapshot_every = None;
-    resume = None;
-    deadline_s = None;
-    salvage = false;
-    recover = false;
-    saw_deadline = ref false;
-  }
-
 let ensure_dir dir =
   if not (Sys.file_exists dir) then
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-module Chk (P : Protocol.PROTOCOL) = struct
-  module E = Check.Explore.Make (P)
-
-  (* All relative namings for 2 processes; rotations for more. *)
-  let namings_under_test ~n ~m =
-    if n = 2 && m <= 5 then
-      List.map (fun nm -> Array.of_list [ Naming.identity m; nm ]) (Naming.all m)
-    else
-      [ Array.init n (fun k -> Naming.rotation m k) ]
-
-  let explore_one ?snapshot_to ?resume_from opts cfg =
-    let run ~resume_from ~snapshot_to =
-      if opts.par then
-        E.explore_par ?max_states:opts.max_states ?domains:opts.domains
-          ?snapshot_every:opts.snapshot_every ?snapshot_to ?resume_from
-          ?deadline_s:opts.deadline_s ~salvage:opts.salvage
-          ~reduction:opts.reduction cfg
-      else
-        E.explore_with_stats ?max_states:opts.max_states
-          ?snapshot_every:opts.snapshot_every ?snapshot_to ?resume_from
-          ?deadline_s:opts.deadline_s ~salvage:opts.salvage
-          ~reduction:opts.reduction cfg
-    in
-    let g, st =
-      match (opts.recover, snapshot_to) with
-      | true, Some snap ->
-        (* fault campaign: transient infrastructure failures (killed
-           supervisor, allocation failure, corrupt checkpoint) retry from
-           the newest salvageable snapshot instead of failing the sweep *)
-        E.with_recovery ?resume_from ~snapshot_to:snap
-          (fun ~resume_from ~snapshot_to ->
-            run ~resume_from ~snapshot_to:(Some snapshot_to))
-      | _ -> run ~resume_from ~snapshot_to
-    in
-    if st.Check.Checker_stats.stop = Check.Checker_stats.Deadline then
-      opts.saw_deadline := true;
-    if opts.stats then Format.printf "%a@." Check.Checker_stats.pp st;
-    g
-
-  (* Returns [true] if any exploration in the sweep was truncated. A
-     [--resume] snapshot is matched to its naming assignment by config
-     fingerprint; if no assignment in the sweep matches, the snapshot
-     belongs to some other configuration and we refuse
-     (Snapshot.Config_mismatch, exit 4). *)
-  let explore_all ?(opts = default_chk_opts) ~n ~m ~inputs ~report () =
-    if opts.reduction = Check.Explore.Canon && E.canon_degraded ~n then
-      Format.printf
-        "note: --canon degraded to the identity group (%s): exploring the \
-         full graph, reduction factor 1.0.@."
-        (if not P.symmetric then P.name ^ " is not a symmetric protocol"
-         else str "n = %d exceeds the group-enumeration bound 7" n);
-    let resume_meta =
-      Option.map
-        (fun path -> (path, Check.Snapshot.read_meta ~path))
-        opts.resume
-    in
-    let resume_used = ref false in
-    Option.iter ensure_dir opts.snapshot_dir;
-    let count = ref 0 in
-    let truncated = ref false in
-    List.iter
-      (fun namings ->
-        incr count;
-        let cfg : E.config =
-          { ids = Array.init n (fun i -> ((i + 1) * 17) + 1); inputs; namings }
-        in
-        let fp, _descr = E.fingerprint ~reduction:opts.reduction cfg in
-        let snapshot_to =
-          Option.map
-            (fun dir ->
-              Filename.concat dir
-                (str "%s-n%d-m%d-%d.snap" P.name n m !count))
-            opts.snapshot_dir
-        in
-        let resume_from =
-          match resume_meta with
-          | Some (path, meta) when meta.Check.Snapshot.fingerprint = fp ->
-            resume_used := true;
-            Some path
-          | _ -> None
-        in
-        let g = explore_one ?snapshot_to ?resume_from opts cfg in
-        if not g.E.complete then truncated := true;
-        report namings g)
-      (namings_under_test ~n ~m);
-    (match resume_meta with
-    | Some (path, meta) when not !resume_used ->
-      (* none of the swept configurations matches the snapshot *)
-      let _, descr =
-        E.fingerprint ~reduction:opts.reduction
-          {
-            ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-            inputs;
-            namings = List.hd (namings_under_test ~n ~m);
-          }
-      in
-      raise
-        (Check.Snapshot.Error
-           (Check.Snapshot.Config_mismatch
-              { path; snapshot = meta.Check.Snapshot.descr; current = descr }))
-    | _ -> ());
-    Format.printf "%d naming assignment(s) checked.@." !count;
-    !truncated
-end
-
-module Mutex_check (P : Protocol.PROTOCOL with type input = unit) = struct
-  module C = Chk (P)
-
-  (* Starvation is reported for information; only ME/DF count as
-     violations, matching the paper's two requirements. *)
-  let run ~opts ~n ~m =
-    let bad = ref false in
-    let truncated =
-      C.explore_all ~opts ~n ~m ~inputs:(Array.make n ()) ()
-        ~report:(fun namings g ->
-        let f = C.E.to_flat g in
-        let me = Check.Mutex_props.mutual_exclusion f in
-        let df = Check.Mutex_props.deadlock_freedom f in
-        let sf = Check.Mutex_props.starvation_freedom f in
-        if me <> None || df <> None then bad := true;
-        Format.printf "namings %s: %d states, mutual-exclusion %s, \
-                       deadlock-freedom %s, starvation-freedom %s@."
-          (String.concat " "
-             (List.map (Format.asprintf "%a" Naming.pp) (Array.to_list namings)))
-          (Array.length g.states)
-          (match me with None -> "ok" | Some _ -> "VIOLATED")
-          (match df with None -> "ok" | Some _ -> "VIOLATED")
-            (match sf with
-            | None -> "ok"
-            | Some (p, _) -> str "p%d can starve" p))
-    in
-    (!bad, truncated)
-end
-
-let check_mutex ~opts ~n ~m =
-  let module M = Mutex_check (Coord.Amutex.P) in
-  M.run ~opts ~n ~m
-
-let check_cmp_mutex ~opts ~n ~m =
-  let module M = Mutex_check (Coord.Cmp_mutex.P) in
-  M.run ~opts ~n ~m
-
-let check_decision (type g) ~n ~m ~inputs
-    ~(explore_all :
-       inputs:'i array ->
-       report:(Naming.t array -> g -> unit) ->
-       bool) ~(verdicts : g -> (string * bool) list) =
-  ignore n;
-  ignore m;
-  let bad = ref false in
-  let truncated =
-    explore_all ~inputs ~report:(fun namings g ->
-        let vs = verdicts g in
-        if List.exists (fun (_, ok) -> not ok) vs then bad := true;
-        Format.printf "namings %s: %s@."
-          (String.concat " "
-             (List.map (Format.asprintf "%a" Naming.pp) (Array.to_list namings)))
-          (String.concat ", "
-             (List.map
-                (fun (name, ok) ->
-                  str "%s %s" name (if ok then "ok" else "VIOLATED"))
-                vs)))
-  in
-  (!bad, truncated)
 
 let reduction_of_flags ~canon ~no_canon =
   if canon && no_canon then
@@ -328,18 +94,37 @@ let reduction_of_flags ~canon ~no_canon =
   else if canon then Check.Explore.Canon
   else Check.Explore.Full
 
-(* Exit codes (also rendered in `coordctl check --help`): 0 all properties
-   hold on a complete exploration; 1 a violation was found; 3 no violation
-   but some exploration was truncated (the verdict covers only the explored
-   prefix); 4 a --resume snapshot was rejected (corrupt, wrong version, or
-   fingerprint mismatch with every swept configuration); 6 the --deadline
-   expired (graceful stop at a generation boundary, snapshot flushed). *)
+let print_canon_note proto ~n reduction =
+  if reduction = Check.Explore.Canon then
+    Option.iter
+      (Format.printf
+         "note: --canon degraded to the identity group (%s): exploring the \
+          full graph, reduction factor 1.0.@.")
+      ((Catalog.find proto).Catalog.degraded ~n)
+
+let pp_namings ppf namings =
+  Format.pp_print_string ppf
+    (String.concat " "
+       (List.map (Format.asprintf "%a" Naming.pp) (Array.to_list namings)))
+
+(* `check` builds a job spec from its flags and runs the service's check
+   loop (Serve.Runner.run) to completion: the sequential explorer by
+   default, the frontier-parallel one with [--par]; the symmetry quotient
+   with [--canon] (sound for every protocol, DESIGN.md §9); [--max-states]
+   truncates each configuration and [--deadline] bounds the whole run.
+   The checkpoint flags ([--snapshot-dir], [--snapshot-every],
+   [--resume], DESIGN.md §10) and the self-healing ones ([--salvage],
+   [--inject-faults], DESIGN.md §12) reach the loop as call arguments.
+   Each configuration prints one line; [--stats] adds its checker
+   statistics. Exit codes (also rendered in `coordctl check --help`) are
+   Runner.verdict_exit's 0/1/3/6, plus 4 for a rejected --resume
+   snapshot. *)
 let check proto n m par domains stats canon no_canon max_states snapshot_dir
     snapshot_every resume deadline salvage inject =
   let reduction = reduction_of_flags ~canon ~no_canon in
   (* --inject-faults SEED arms a deterministic infrastructure-fault plan
      and implies the rest of the self-healing stack: snapshot salvage,
-     with_recovery retries, and somewhere to recover from — a private
+     recovery retries, and somewhere to recover from — a private
      snapshot dir is synthesized when none was given. The plan seed is
      printed so the whole campaign can be replayed. *)
   let snapshot_dir =
@@ -361,147 +146,59 @@ let check proto n m par domains stats canon no_canon max_states snapshot_dir
     Resilience.arm plan;
     Format.printf "fault plan: %a@." Resilience.pp_plan plan
   | None -> ());
-  let opts =
-    {
-      par;
-      domains;
-      stats;
-      reduction;
-      max_states;
-      snapshot_dir;
-      snapshot_every;
-      resume;
-      deadline_s = deadline;
-      salvage = salvage || inject <> None;
-      recover = inject <> None;
-      saw_deadline = ref false;
-    }
+  let spec =
+    Spec.make ~n ?m ~reduction
+      ~engine:(if par then Spec.Par else Spec.Seq)
+      ?max_states ?deadline_s:deadline Spec.Check proto
   in
-  let m =
-    match (m, proto) with
-    | Some m, _ -> m
-    | None, Mutex -> 3
-    | None, Cmp_mutex -> 2
-    | None, (Consensus | Election | Renaming) -> (2 * n) - 1
-    | None, Ccp -> 2
+  let checked = ref 0 and truncated = ref false in
+  (* starvation-freedom is reported for information; only the verdict set
+     (ME/DF for the mutexes) counts, matching the paper's requirements *)
+  let on_config (r : Runner.report) =
+    incr checked;
+    if not r.Runner.complete then truncated := true;
+    if stats then Format.printf "%a@." Check.Checker_stats.pp r.Runner.stats;
+    Format.printf "namings %a: %s%s@." pp_namings r.Runner.namings
+      (match proto with
+      | Spec.Mutex | Spec.Cmp_mutex ->
+        str "%d states, " r.Runner.stats.Check.Checker_stats.n_states
+      | _ -> "")
+      (String.concat ", "
+         (Runner.render_verdicts r.Runner.verdicts
+         :: List.map (fun (k, v) -> k ^ " " ^ v) r.Runner.info))
   in
   let body () =
+    print_canon_note proto ~n reduction;
     match
-      match proto with
-    | Mutex -> check_mutex ~opts ~n ~m
-    | Cmp_mutex -> check_cmp_mutex ~opts ~n ~m
-    | Consensus ->
-      let module C = Chk (Coord.Consensus.P) in
-      let inputs = Array.init n (fun i -> (i + 1) * 100) in
-      check_decision ~n ~m ~inputs
-        ~explore_all:(fun ~inputs ~report ->
-          C.explore_all ~opts ~n ~m ~inputs ~report ())
-        ~verdicts:(fun g ->
-          [
-            ( "agreement",
-              Check.Props.agreement ~equal:Int.equal ~statuses:C.E.statuses
-                g.C.E.states
-              = None );
-            ( "validity",
-              Check.Props.validity
-                ~allowed:(fun v -> Array.exists (( = ) v) inputs)
-                ~statuses:C.E.statuses g.C.E.states
-              = None );
-            ("of-termination", C.E.check_obstruction_freedom g = None);
-          ])
-    | Election ->
-      let module C = Chk (Coord.Election.P) in
-      let ids = Array.init n (fun i -> ((i + 1) * 17) + 1) in
-      check_decision ~n ~m ~inputs:(Array.make n ())
-        ~explore_all:(fun ~inputs ~report ->
-          C.explore_all ~opts ~n ~m ~inputs ~report ())
-        ~verdicts:(fun g ->
-          [
-            ( "one-leader",
-              Check.Props.agreement ~equal:Int.equal ~statuses:C.E.statuses
-                g.C.E.states
-              = None );
-            ( "leader-participates",
-              Check.Props.validity
-                ~allowed:(fun v -> Array.exists (( = ) v) ids)
-                ~statuses:C.E.statuses g.C.E.states
-              = None );
-            ("of-termination", C.E.check_obstruction_freedom g = None);
-          ])
-    | Renaming ->
-      let module C = Chk (Coord.Renaming.P) in
-      check_decision ~n ~m ~inputs:(Array.make n ())
-        ~explore_all:(fun ~inputs ~report ->
-          C.explore_all ~opts ~n ~m ~inputs ~report ())
-        ~verdicts:(fun g ->
-          [
-            ( "uniqueness",
-              Check.Props.distinct_outputs ~equal:Int.equal
-                ~statuses:C.E.statuses g.C.E.states
-              = None );
-            ( "adaptivity",
-              Check.Props.adaptive_range ~name_of:Fun.id
-                ~statuses:C.E.statuses g.C.E.states
-              = None );
-            ("of-termination", C.E.check_obstruction_freedom g = None);
-          ])
-    | Ccp ->
-      let module C = Chk (Coord.Ccp.P) in
-      check_decision ~n ~m ~inputs:(Array.make n ())
-        ~explore_all:(fun ~inputs ~report ->
-          C.explore_all ~opts ~n ~m ~inputs ~report ())
-        ~verdicts:(fun g ->
-          (* agreement is on the physical register chosen *)
-          let safe = ref true in
-          Array.iter
-            (fun st ->
-              let phys =
-                Array.to_list
-                  (Array.mapi
-                     (fun p l ->
-                       match Coord.Ccp.P.status l with
-                       | Protocol.Decided loc ->
-                         Some (Naming.apply g.C.E.cfg.namings.(p) loc)
-                       | _ -> None)
-                     st.C.E.locals)
-                |> List.filter_map Fun.id
-              in
-              match phys with
-              | a :: rest -> if List.exists (( <> ) a) rest then safe := false
-              | [] -> ())
-            g.C.E.states;
-          [ ("same-register", !safe) ])
-  with
-  | exception Check.Snapshot.Error e ->
-    Format.eprintf "coordctl: snapshot rejected: %s@."
-      (Check.Snapshot.error_message e);
-    Ok 4
-  | bad, truncated ->
-    if truncated then
-      Format.eprintf
-        "WARNING: exploration truncated (state budget, interrupt or \
-         deadline); verdicts cover only the explored prefix.@.";
-    if bad then begin
-      Format.printf "RESULT: violations found.@.";
-      Ok 1
-    end
-    else if !(opts.saw_deadline) then begin
-      Format.printf "RESULT: no violation before the deadline \
-                     (incomplete; snapshot flushed for --resume).@.";
-      Ok 6
-    end
-    else if truncated then begin
-      Format.printf "RESULT: no violation in the explored prefix \
-                     (incomplete).@.";
-      Ok 3
-    end
-    else begin
-      Format.printf "RESULT: all properties hold.@.";
-      Ok 0
-    end
+      Runner.run ?domains ?snapshot_every ?snapshot_dir ?resume
+        ~salvage:(salvage || inject <> None)
+        ~recover:(inject <> None) ~on_config spec
+    with
+    | exception Check.Snapshot.Error e ->
+      Format.eprintf "coordctl: snapshot rejected: %s@."
+        (Check.Snapshot.error_message e);
+      Ok 4
+    | o ->
+      Format.printf "%d naming assignment(s) checked.@." !checked;
+      if !truncated then
+        Format.eprintf
+          "WARNING: exploration truncated (state budget, interrupt or \
+           deadline); verdicts cover only the explored prefix.@.";
+      Format.printf "RESULT: %s@."
+        (match o.Runner.verdict with
+        | Runner.Violation -> "violations found."
+        | Runner.Deadline ->
+          "no violation before the deadline (incomplete; snapshot flushed \
+           for --resume)."
+        | Runner.Truncated ->
+          "no violation in the explored prefix (incomplete)."
+        | Runner.Pass -> "all properties hold."
+        | Runner.Disagreement | Runner.Failed _ ->
+          Runner.verdict_tag o.Runner.verdict);
+      Ok (Runner.verdict_exit o.Runner.verdict)
   in
   Fun.protect ~finally:Resilience.disarm (fun () ->
-      if opts.snapshot_dir <> None then
+      if snapshot_dir <> None then
         (* scoped, not leaked: previous SIGINT/SIGTERM dispositions are
            restored when the check returns (or raises) *)
         Check.Snapshot.with_signal_handlers body
@@ -534,7 +231,7 @@ let symmetry n m show_trace =
 
 let covering proto m show_trace =
   (match proto with
-  | Mutex ->
+  | Spec.Mutex ->
     let module Cov = Lowerbound.Covering.Make (Coord.Amutex.P) in
     (match Cov.construct ~m ~q_input:() ~recruit_input:(fun _ -> ()) () with
     | Error e -> Format.printf "construction failed: %s@." e
@@ -631,7 +328,7 @@ let rejoin_spec_conv =
   let print ppf (p, k, d) = Format.fprintf ppf "%d@%d+%d" p k d in
   Cmdliner.Arg.conv (parse, print)
 
-let chaos_ids n = List.init n (fun i -> ((i + 1) * 17) + 1)
+let chaos_ids n = Array.to_list (Catalog.ids_of n)
 
 (* With no explicit plan, each attempt draws one fresh random crash. *)
 let plan_for_attempt master n prefix_steps = function
@@ -739,14 +436,7 @@ module ChaosDecide (P : Protocol.PROTOCOL with type output = int) = struct
 end
 
 let chaos proto n m seed attempts prefix_steps crashes crash_cs rejoins =
-  let m =
-    match (m, proto) with
-    | Some m, _ -> m
-    | None, Mutex -> 3
-    | None, Cmp_mutex -> 2
-    | None, (Consensus | Election | Renaming) -> (2 * n) - 1
-    | None, Ccp -> 2
-  in
+  let m = Option.value m ~default:(Spec.default_m proto ~n) in
   let plan =
     List.map (fun (proc, after) -> Fault.Crash_at_step { proc; after }) crashes
     @ List.map (fun proc -> Fault.Crash_in_critical { proc }) crash_cs
@@ -768,7 +458,7 @@ let chaos proto n m seed attempts prefix_steps crashes crash_cs rejoins =
     plan;
   let bad =
     match proto with
-    | Mutex ->
+    | Spec.Mutex ->
       let module C = ChaosMutex (Coord.Amutex.P) in
       C.run ~n ~m ~seed ~attempts ~prefix_steps ~plan
     | Cmp_mutex ->
@@ -808,320 +498,16 @@ let chaos proto n m seed attempts prefix_steps crashes crash_cs rejoins =
 (* fuzz / shrink                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Exit codes: 0 no violation, 1 violation found (witness optionally
-   shrunk and written to the corpus), 5 engine disagreement — the
-   explorers, the property checkers, the runtime and the baseline twin
-   cross-validate each other, so 5 means a checker bug, not a protocol
-   bug. *)
-module Fz (P : Protocol.PROTOCOL) = struct
-  module F = Check.Fuzz.Make (P)
+(* Both commands run the protocol's suite from Serve.Catalog, the one a
+   served fuzz job runs. Exit codes: 0 no violation, 1 violation found
+   (witness optionally shrunk and written to the corpus), 5 engine
+   disagreement — the explorers, the property checkers, the runtime and
+   the baseline twin cross-validate each other, so 5 means a checker bug,
+   not a protocol bug. *)
 
-  (* The shrinker's property for a named fuzz property: safety predicates
-     are replayed directly; liveness witnesses are lassos. *)
-  let sprop ~properties ~inputs name =
-    match
-      List.find_opt (fun (p : F.property) -> p.F.name = name) properties
-    with
-    | Some { F.rt_check = Some pred; _ } -> Some (F.S.Safety (pred inputs))
-    | Some { F.rt_check = None; _ } -> Some F.S.Lasso
-    | None -> None
-
-  let write_bundle ~proto_name ~pname ~input_to_string ~path b =
-    Check.Shrink.write_raw path
-      (F.S.to_raw ~protocol:proto_name ~property_name:pname ~input_to_string b);
-    Format.printf "wrote %s@." path
-
-  let fuzz ~proto_name ~properties ~gen_inputs ~input_to_string ~deterministic
-      ?twin ~n ~m ~attempts ~seconds ~seed ~max_states ~probes ~do_shrink
-      ~corpus () =
-    let report =
-      F.run ~seed ~attempts ?time_budget:seconds ~max_states ~probes
-        ~fixed:(n, m) ~deterministic ?twin ~properties ~gen_inputs ()
-    in
-    Format.printf "%a@." F.pp_report report;
-    match report.F.disagreement with
-    | Some _ ->
-      Format.printf "RESULT: engines disagree (checker bug).@.";
-      Ok 5
-    | None ->
-      if report.F.violations = 0 then begin
-        Format.printf "RESULT: no violation in %d generated instance(s).@."
-          report.F.attempts;
-        Ok 0
-      end
-      else begin
-        (match report.F.first_witness with
-        | None -> ()
-        | Some (pname, b0) ->
-          let b =
-            if do_shrink then begin
-              match sprop ~properties ~inputs:b0.F.S.inputs pname with
-              | Some sp -> (
-                match F.S.shrink sp b0 with
-                | b, stats ->
-                  Format.printf "shrunk %s witness: %a@." pname F.S.pp_stats
-                    stats;
-                  b
-                | exception Invalid_argument msg ->
-                  Format.eprintf "cannot shrink: %s@." msg;
-                  b0)
-              | None -> b0
-            end
-            else b0
-          in
-          match corpus with
-          | None -> ()
-          | Some dir ->
-            ensure_dir dir;
-            let path =
-              Filename.concat dir
-                (str "%s-%s-seed%d.fuzz" proto_name pname seed)
-            in
-            write_bundle ~proto_name ~pname ~input_to_string ~path b);
-        Format.printf "RESULT: violations found.@.";
-        Ok 1
-      end
-
-  let shrink_file ~proto_name ~properties ~input_of_string ~input_to_string
-      ~(raw : Check.Shrink.raw) ~replay_only ~out ~show_trace ~max_rounds path
-      =
-    let b = F.S.of_raw ~input_of_string raw in
-    match sprop ~properties ~inputs:b.F.S.inputs raw.Check.Shrink.property with
-    | None ->
-      Format.eprintf "coordctl: unknown property %S for protocol %s@."
-        raw.Check.Shrink.property proto_name;
-      Ok 2
-    | Some sp ->
-      let hit, trace = F.S.replay sp b in
-      if show_trace then
-        Format.printf "%a@."
-          (Trace.pp ~pp_value:P.Value.pp ~pp_output:P.pp_output)
-          trace;
-      if replay_only then begin
-        Format.printf "replayed %d step(s): violation %s@."
-          (Trace.length trace)
-          (if hit then "reproduced" else "NOT reproduced");
-        Ok (if hit then 0 else 1)
-      end
-      else if not hit then begin
-        Format.eprintf
-          "coordctl: bundle does not reproduce its violation; refusing to \
-           shrink@.";
-        Ok 1
-      end
-      else begin
-        let b', stats = F.S.shrink ?max_rounds sp b in
-        Format.printf "%a@." F.S.pp_stats stats;
-        let out = Option.value out ~default:(path ^ ".min") in
-        write_bundle ~proto_name ~pname:raw.Check.Shrink.property
-          ~input_to_string ~path:out b';
-        Ok 0
-      end
-end
-
-(* Known-good baseline twins: the same property code must call them clean;
-   a complaint is a checker bug (reported as a disagreement). *)
-
-let peterson_twin : Check.Gen.params -> unit array -> string option =
-  let verdict =
-    lazy
-      (let module FB = Check.Fuzz.Make (Baseline.Peterson.P) in
-       let cfg : FB.E.config =
-         {
-           ids = [| 1; 2 |];
-           inputs = [| (); () |];
-           namings = Array.init 2 (fun _ -> Naming.identity 3);
-         }
-       in
-       let g = FB.E.explore cfg in
-       let flat = FB.E.to_flat g in
-       if not g.FB.E.complete then None
-       else if FB.mutex_me.FB.check g flat <> None then
-         Some "checker claims Peterson violates mutual exclusion"
-       else if FB.mutex_df.FB.check g flat <> None then
-         Some "checker claims Peterson violates deadlock freedom"
-       else None)
-  in
-  fun _ _ -> Lazy.force verdict
-
-let ca_consensus_twin : Check.Gen.params -> int array -> string option =
-  let memo = Hashtbl.create 8 in
-  fun pars inputs ->
-    let n = pars.Check.Gen.n in
-    let key = (n, Array.to_list inputs) in
-    match Hashtbl.find_opt memo key with
-    | Some r -> r
-    | None ->
-      let r =
-        let module FB = Check.Fuzz.Make (Baseline.Ca_consensus.P) in
-        let m = Baseline.Ca_consensus.P.registers_for ~n ~rounds:2 in
-        let cfg : FB.E.config =
-          {
-            ids = Array.init n (fun i -> i + 1);
-            inputs;
-            namings = Array.init n (fun _ -> Naming.identity m);
-          }
-        in
-        let g = FB.E.explore ~max_states:50_000 cfg in
-        let flat = FB.E.to_flat g in
-        let agree = FB.agreement ~equal:Int.equal in
-        let valid =
-          FB.validity ~allowed:(fun ins v -> Array.exists (( = ) v) ins)
-        in
-        if not g.FB.E.complete then None (* budget: inconclusive, not a bug *)
-        else if agree.FB.check g flat <> None then
-          Some "checker claims CA consensus violates agreement"
-        else if valid.FB.check g flat <> None then
-          Some "checker claims CA consensus violates validity"
-        else None
-      in
-      Hashtbl.add memo key r;
-      r
-
-let chain_renaming_twin : Check.Gen.params -> unit array -> string option =
-  let memo = Hashtbl.create 4 in
-  fun pars _inputs ->
-    let n = pars.Check.Gen.n in
-    match Hashtbl.find_opt memo n with
-    | Some r -> r
-    | None ->
-      let r =
-        let module FB = Check.Fuzz.Make (Baseline.Chain_renaming.P) in
-        let m = (n - 1) * ((2 * n) - 1) in
-        let cfg : FB.E.config =
-          {
-            ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-            inputs = Array.make n ();
-            namings = Array.init n (fun _ -> Naming.identity m);
-          }
-        in
-        let g = FB.E.explore ~max_states:50_000 cfg in
-        let flat = FB.E.to_flat g in
-        let uniq = FB.distinct_outputs ~equal:Int.equal in
-        if not g.FB.E.complete then None
-        else if uniq.FB.check g flat <> None then
-          Some "checker claims chain renaming violates uniqueness"
-        else None
-      in
-      Hashtbl.add memo n r;
-      r
-
-(* Per-protocol fuzz property suites. Election's leader-participates and
-   ccp's same-register need instance data (the ids, the namings) on both
-   the graph and the runtime side, so they are built here rather than in
-   Check.Fuzz. *)
-
-module Fuzz_mutex = Fz (Coord.Amutex.P)
-module Fuzz_cmp_mutex = Fz (Coord.Cmp_mutex.P)
-module Fuzz_consensus = Fz (Coord.Consensus.P)
-module Fuzz_election = Fz (Coord.Election.P)
-module Fuzz_renaming = Fz (Coord.Renaming.P)
-module Fuzz_ccp = Fz (Coord.Ccp.P)
-
-let mutex_properties = [ Fuzz_mutex.F.mutex_me; Fuzz_mutex.F.mutex_df ]
-
-let cmp_mutex_properties =
-  [ Fuzz_cmp_mutex.F.mutex_me; Fuzz_cmp_mutex.F.mutex_df ]
-
-let consensus_properties =
-  [
-    Fuzz_consensus.F.agreement ~equal:Int.equal;
-    Fuzz_consensus.F.validity ~allowed:(fun inputs v ->
-        Array.exists (( = ) v) inputs);
-  ]
-
-let election_properties =
-  let module D = Fuzz_election in
-  [
-    { (D.F.agreement ~equal:Int.equal) with D.F.name = "one-leader" };
-    {
-      D.F.name = "leader-participates";
-      check =
-        (fun g _ ->
-          Option.map
-            (fun (d : int Check.Props.decided) ->
-              D.F.State d.Check.Props.state)
-            (Check.Props.validity
-               ~allowed:(fun v -> Array.exists (( = ) v) g.D.F.E.cfg.ids)
-               ~statuses:D.F.E.statuses g.D.F.E.states));
-      rt_check =
-        Some
-          (fun _ rt ->
-            let ds = D.F.S.R.decisions rt in
-            let ids =
-              Array.init (Array.length ds) (fun i -> D.F.S.R.id_of rt i)
-            in
-            Array.exists
-              (function
-                | Some v -> not (Array.exists (( = ) v) ids)
-                | None -> false)
-              ds);
-    };
-  ]
-
-let renaming_properties =
-  let module D = Fuzz_renaming in
-  [
-    {
-      (D.F.distinct_outputs ~equal:Int.equal) with
-      D.F.name = "uniqueness";
-    };
-  ]
-
-(* ccp decides a local register index; correctness is that all decisions
-   resolve to the same physical register through each process's naming. *)
-let ccp_properties =
-  let module D = Fuzz_ccp in
-  [
-    {
-      D.F.name = "same-register";
-      check =
-        (fun g _ ->
-          let bad = ref None in
-          Array.iteri
-            (fun si st ->
-              if !bad = None then begin
-                let phys =
-                  List.filter_map Fun.id
-                    (Array.to_list
-                       (Array.mapi
-                          (fun p status ->
-                            match status with
-                            | Protocol.Decided loc ->
-                              Some (Naming.apply g.D.F.E.cfg.namings.(p) loc)
-                            | _ -> None)
-                          (D.F.E.statuses st)))
-                in
-                match phys with
-                | a :: rest when List.exists (( <> ) a) rest ->
-                  bad := Some (D.F.State si)
-                | _ -> ()
-              end)
-            g.D.F.E.states;
-          !bad);
-      rt_check =
-        Some
-          (fun _ rt ->
-            let n = D.F.S.R.n rt in
-            let phys =
-              List.filter_map
-                (fun i ->
-                  match D.F.S.R.status rt i with
-                  | Protocol.Decided loc ->
-                    Some (Naming.apply (D.F.S.R.naming_of rt i) loc)
-                  | _ -> None)
-                (List.init n Fun.id)
-            in
-            match phys with
-            | a :: rest -> List.exists (( <> ) a) rest
-            | [] -> false);
-    };
-  ]
-
-let consensus_gen_inputs rng ~n =
-  Array.init n (fun _ -> 100 * (1 + Rng.int rng n))
-
-let unit_inputs _rng ~n = Array.make n ()
+let write_bundle path (b : Catalog.bundle) =
+  Check.Shrink.write_raw path b.Catalog.raw;
+  Format.printf "wrote %s@." path
 
 let fuzz proto n m attempts seconds seed max_states probes do_shrink corpus
     deadline =
@@ -1133,49 +519,48 @@ let fuzz proto n m attempts seconds seed max_states probes do_shrink corpus
     | None, d -> d
     | s, None -> s
   in
-  let common d = (d ~n ~m ~attempts ~seconds ~seed ~max_states ~probes
-                    ~do_shrink ~corpus) () in
-  match proto with
-  | Mutex ->
-    common
-      (Fuzz_mutex.fuzz ~proto_name:"mutex" ~properties:mutex_properties
-         ~gen_inputs:unit_inputs
-         ~input_to_string:(fun () -> "-")
-         ~deterministic:true ~twin:peterson_twin)
-  | Cmp_mutex ->
-    common
-      (Fuzz_cmp_mutex.fuzz ~proto_name:"cmp-mutex"
-         ~properties:cmp_mutex_properties ~gen_inputs:unit_inputs
-         ~input_to_string:(fun () -> "-")
-         ~deterministic:true ?twin:None)
-  | Consensus ->
-    common
-      (Fuzz_consensus.fuzz ~proto_name:"consensus"
-         ~properties:consensus_properties ~gen_inputs:consensus_gen_inputs
-         ~input_to_string:string_of_int ~deterministic:true
-         ~twin:ca_consensus_twin)
-  | Election ->
-    common
-      (Fuzz_election.fuzz ~proto_name:"election"
-         ~properties:election_properties ~gen_inputs:unit_inputs
-         ~input_to_string:(fun () -> "-")
-         ~deterministic:true ?twin:None)
-  | Renaming ->
-    common
-      (Fuzz_renaming.fuzz ~proto_name:"renaming"
-         ~properties:renaming_properties ~gen_inputs:unit_inputs
-         ~input_to_string:(fun () -> "-")
-         ~deterministic:true ~twin:chain_renaming_twin)
-  | Ccp ->
-    common
-      (Fuzz_ccp.fuzz ~proto_name:"ccp" ~properties:ccp_properties
-         ~gen_inputs:unit_inputs
-         ~input_to_string:(fun () -> "-")
-         ~deterministic:false ?twin:None)
-
-let unit_of_string = function
-  | "-" -> ()
-  | s -> failwith (str "expected unit input \"-\", got %S" s)
+  let r =
+    (Catalog.find proto).Catalog.fuzz ?time_budget:seconds ~probes ~seed
+      ~attempts ~max_states ~fixed:(n, m) ()
+  in
+  Format.printf "%t@." r.Catalog.pp_report;
+  if r.Catalog.disagreement <> None then begin
+    Format.printf "RESULT: engines disagree (checker bug).@.";
+    Ok 5
+  end
+  else if r.Catalog.violations = 0 then begin
+    Format.printf "RESULT: no violation in %d generated instance(s).@."
+      r.Catalog.attempts;
+    Ok 0
+  end
+  else begin
+    Option.iter
+      (fun (b0 : Catalog.bundle) ->
+        let pname = b0.Catalog.raw.Check.Shrink.property in
+        let b =
+          if not do_shrink then b0
+          else
+            match b0.Catalog.shrink () with
+            | b, pp_stats ->
+              Format.printf "shrunk %s witness: %t@." pname pp_stats;
+              b
+            | exception Invalid_argument msg ->
+              Format.eprintf "cannot shrink: %s@." msg;
+              b0
+        in
+        Option.iter
+          (fun dir ->
+            ensure_dir dir;
+            write_bundle
+              (Filename.concat dir
+                 (str "%s-%s-seed%d.fuzz" (Spec.proto_to_string proto) pname
+                    seed))
+              b)
+          corpus)
+      r.Catalog.witness;
+    Format.printf "RESULT: violations found.@.";
+    Ok 1
+  end
 
 let shrink path replay_only out show_trace max_rounds =
   match Check.Shrink.read_raw path with
@@ -1183,141 +568,51 @@ let shrink path replay_only out show_trace max_rounds =
     Format.eprintf "coordctl: %s@." msg;
     Ok 2
   | Ok raw -> (
-    let common d =
-      d ~raw ~replay_only ~out ~show_trace ~max_rounds path
-    in
-    match raw.Check.Shrink.protocol with
-    | "mutex" ->
-      common
-        (Fuzz_mutex.shrink_file ~proto_name:"mutex"
-           ~properties:mutex_properties ~input_of_string:unit_of_string
-           ~input_to_string:(fun () -> "-"))
-    | "cmp-mutex" ->
-      common
-        (Fuzz_cmp_mutex.shrink_file ~proto_name:"cmp-mutex"
-           ~properties:cmp_mutex_properties ~input_of_string:unit_of_string
-           ~input_to_string:(fun () -> "-"))
-    | "consensus" ->
-      common
-        (Fuzz_consensus.shrink_file ~proto_name:"consensus"
-           ~properties:consensus_properties ~input_of_string:int_of_string
-           ~input_to_string:string_of_int)
-    | "election" ->
-      common
-        (Fuzz_election.shrink_file ~proto_name:"election"
-           ~properties:election_properties ~input_of_string:unit_of_string
-           ~input_to_string:(fun () -> "-"))
-    | "renaming" ->
-      common
-        (Fuzz_renaming.shrink_file ~proto_name:"renaming"
-           ~properties:renaming_properties ~input_of_string:unit_of_string
-           ~input_to_string:(fun () -> "-"))
-    | "ccp" ->
-      common
-        (Fuzz_ccp.shrink_file ~proto_name:"ccp" ~properties:ccp_properties
-           ~input_of_string:unit_of_string
-           ~input_to_string:(fun () -> "-"))
-    | p ->
-      Format.eprintf "coordctl: unknown protocol %S in %s@." p path;
-      Ok 2)
+    let protocol = raw.Check.Shrink.protocol in
+    match Spec.proto_of_string protocol with
+    | Error _ ->
+      Format.eprintf "coordctl: unknown protocol %S in %s@." protocol path;
+      Ok 2
+    | Ok proto -> (
+      match (Catalog.find proto).Catalog.bundle raw with
+      | None ->
+        Format.eprintf "coordctl: unknown property %S for protocol %s@."
+          raw.Check.Shrink.property protocol;
+        Ok 2
+      | Some b ->
+        let hit, steps, pp_trace = b.Catalog.replay () in
+        if show_trace then Format.printf "%t@." pp_trace;
+        if replay_only then begin
+          Format.printf "replayed %d step(s): violation %s@." steps
+            (if hit then "reproduced" else "NOT reproduced");
+          Ok (if hit then 0 else 1)
+        end
+        else if not hit then begin
+          Format.eprintf
+            "coordctl: bundle does not reproduce its violation; refusing to \
+             shrink@.";
+          Ok 1
+        end
+        else begin
+          let b', pp_stats = b.Catalog.shrink ?max_rounds () in
+          Format.printf "%t@." pp_stats;
+          write_bundle (Option.value out ~default:(path ^ ".min")) b';
+          Ok 0
+        end))
 
 (* ------------------------------------------------------------------ *)
 (* graph export                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let graph proto n m output =
-  let m =
-    match (m, proto) with
-    | Some m, _ -> m
-    | None, Mutex -> 3
-    | None, Cmp_mutex -> 2
-    | None, (Consensus | Election | Renaming) -> (2 * n) - 1
-    | None, Ccp -> 2
-  in
-  let write_dot flat =
-    let oc = open_out output in
-    let ppf = Format.formatter_of_out_channel oc in
-    Check.Dot.of_flat flat ppf ();
-    Format.pp_print_flush ppf ();
-    close_out oc;
-    Format.printf "wrote %s@." output
-  in
-  let flat_of (type g) ~(explore : unit -> g) ~(to_flat : g -> Check.Flatgraph.t) =
-    to_flat (explore ())
-  in
-  (match proto with
-  | Mutex ->
-    let module C = Chk (Coord.Amutex.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.make n ();
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat)
-  | Cmp_mutex ->
-    let module C = Chk (Coord.Cmp_mutex.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.make n ();
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat)
-  | Consensus ->
-    let module C = Chk (Coord.Consensus.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.init n (fun i -> (i + 1) * 100);
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat)
-  | Election ->
-    let module C = Chk (Coord.Election.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.make n ();
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat)
-  | Renaming ->
-    let module C = Chk (Coord.Renaming.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.make n ();
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat)
-  | Ccp ->
-    let module C = Chk (Coord.Ccp.P) in
-    write_dot
-      (flat_of
-         ~explore:(fun () ->
-           C.E.explore
-             {
-               ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
-               inputs = Array.make n ();
-               namings = Array.init n (fun k -> Naming.rotation m k);
-             })
-         ~to_flat:C.E.to_flat));
+  let m = Option.value m ~default:(Spec.default_m proto ~n) in
+  let flat = (Catalog.find proto).Catalog.graph ~n ~m in
+  let oc = open_out output in
+  let ppf = Format.formatter_of_out_channel oc in
+  Check.Dot.of_flat flat ppf ();
+  Format.pp_print_flush ppf ();
+  close_out oc;
+  Format.printf "wrote %s@." output;
   Ok 0
 
 (* ------------------------------------------------------------------ *)
@@ -1353,7 +648,7 @@ module Xpl (P : Protocol.PROTOCOL) = struct
 
   let config ~n ~m ~rot ~(inputs : P.input array) : E.config =
     {
-      ids = Array.init n (fun i -> ((i + 1) * 17) + 1);
+      ids = Catalog.ids_of n;
       inputs;
       namings =
         Array.init n (fun k ->
@@ -1363,14 +658,8 @@ module Xpl (P : Protocol.PROTOCOL) = struct
   let explore ~n ~m ~rot ~inputs ~reduction ~par ~domains ~max_states ~depths
       ~snapshot_to ~snapshot_every ~resume_from ~deadline_s ~salvage
       ~disk_visited ~disk_hot_cap ~disk_quota ~recover =
-    if reduction = Check.Explore.Canon && E.canon_degraded ~n then
-      Format.printf
-        "note: --canon degraded to the identity group (%s): exploring the \
-         full graph, reduction factor 1.0.@."
-        (if not P.symmetric then P.name ^ " is not a symmetric protocol"
-         else str "n = %d exceeds the group-enumeration bound 7" n);
     let cfg = config ~n ~m ~rot ~inputs in
-    let st =
+    let run ~resume_from ~snapshot_to =
       match disk_visited with
       | Some dir ->
         (* external-memory mode: the visited set spills to sorted runs
@@ -1379,63 +668,12 @@ module Xpl (P : Protocol.PROTOCOL) = struct
         if par then
           failwith "--disk-visited is a sequential external-memory mode; \
                     drop --par";
-        let run resume_from =
+        ( (),
           E.explore_external ?max_states ?snapshot_every ?snapshot_to
             ?resume_from ?deadline_s ?hot_cap:disk_hot_cap
-            ?disk_quota_bytes:disk_quota ~salvage ~reduction ~dir cfg
-        in
-        if recover then
-          (* fault campaign: injected faults fire at most once, so a
-             retry from the newest checkpoint converges (DESIGN.md §14);
-             the retry count is stamped into the stats as [recoveries].
-             Budget one retry per armed fault (a whole plan can gang up
-             on this single run) on top of the usual three. *)
-          let retries = 3 + List.length (Resilience.pending ()) in
-          let rec go attempt resume =
-            match run resume with
-            (* an internally absorbed fault degrades to a truncated
-               RESULT, not an exception; that also earns a retry *)
-            | st
-              when (not st.Check.Checker_stats.complete)
-                   && (st.Check.Checker_stats.stop = Check.Checker_stats.Oom
-                      || st.Check.Checker_stats.stop
-                         = Check.Checker_stats.Fault)
-                   && attempt < retries ->
-              go (attempt + 1)
-                (match snapshot_to with
-                | Some p when Sys.file_exists p -> Some p
-                | _ -> None)
-            | st -> { st with Check.Checker_stats.recoveries = attempt }
-            | exception Check.Snapshot.Error (Check.Snapshot.Corrupt _)
-              when attempt < retries ->
-              (* either a run file was damaged in flight (spill's
-                 read-back) or the checkpoint itself is beyond salvage.
-                 Resume from the checkpoint when it still has an intact
-                 chunk — restore sweeps the damaged run as a stray —
-                 and start over otherwise; the fresh run rewrites the
-                 file. *)
-              let resume =
-                match snapshot_to with
-                | Some p when Sys.file_exists p -> (
-                  match Check.Snapshot.read_chunks ~path:p with
-                  | _ -> Some p
-                  | exception Check.Snapshot.Error _ -> None)
-                | _ -> None
-              in
-              go (attempt + 1) resume
-            | exception
-                ( Out_of_memory | Resilience.Killed _ | Resilience.Stalled _
-                | Resilience.Io_fault _ )
-              when attempt < retries ->
-              go (attempt + 1)
-                (match snapshot_to with
-                | Some p when Sys.file_exists p -> Some p
-                | _ -> None)
-          in
-          go 0 resume_from
-        else run resume_from
+            ?disk_quota_bytes:disk_quota ~salvage ~reduction ~dir cfg )
       | None ->
-        let run ~resume_from ~snapshot_to =
+        let _g, st =
           if par then
             E.explore_par ?max_states ?domains ?snapshot_every ?snapshot_to
               ?resume_from ?deadline_s ~salvage ~reduction cfg
@@ -1443,18 +681,21 @@ module Xpl (P : Protocol.PROTOCOL) = struct
             E.explore_with_stats ?max_states ?snapshot_every ?snapshot_to
               ?resume_from ?deadline_s ~salvage ~reduction cfg
         in
-        let g, st =
-          match (recover, snapshot_to) with
-          | true, Some snap ->
-            E.with_recovery
-              ~max_retries:(3 + List.length (Resilience.pending ()))
-              ?resume_from ~snapshot_to:snap
-              (fun ~resume_from ~snapshot_to ->
-                run ~resume_from ~snapshot_to:(Some snapshot_to))
-          | _ -> run ~resume_from ~snapshot_to
-        in
-        ignore g;
-        st
+        ((), st)
+    in
+    let (), st =
+      match (recover, snapshot_to) with
+      | true, Some snap ->
+        (* fault campaign: injected faults fire at most once, so a retry
+           from the newest checkpoint converges (DESIGN.md §14); budget
+           one retry per armed fault (a whole plan can gang up on this
+           single run) on top of the usual three *)
+        E.with_recovery
+          ~max_retries:(3 + List.length (Resilience.pending ()))
+          ?resume_from ~snapshot_to:snap
+          (fun ~resume_from ~snapshot_to ->
+            run ~resume_from ~snapshot_to:(Some snapshot_to))
+      | _ -> run ~resume_from ~snapshot_to
     in
     Format.printf "%a@." Check.Checker_stats.pp st;
     if depths then Format.printf "%a@." Check.Checker_stats.pp_depths st;
@@ -1513,18 +754,12 @@ let explore proto n m rot par domains canon no_canon max_states depths
   | None -> ());
   let salvage = salvage || inject <> None in
   let recover = inject <> None in
-  let m =
-    match (m, proto) with
-    | Some m, _ -> m
-    | None, Mutex -> 3
-    | None, Cmp_mutex -> 2
-    | None, (Consensus | Election | Renaming) -> (2 * n) - 1
-    | None, Ccp -> 2
-  in
+  let m = Option.value m ~default:(Spec.default_m proto ~n) in
   let body () =
+    print_canon_note proto ~n reduction;
     match
       match proto with
-    | Mutex ->
+    | Spec.Mutex ->
       let module X = Xpl (Coord.Amutex.P) in
       X.explore ~n ~m ~rot ~inputs:(Array.make n ()) ~reduction ~par ~domains
         ~max_states ~depths ~snapshot_to ~snapshot_every ~resume_from
@@ -1606,6 +841,24 @@ let bench n canon no_canon max_states =
 
 open Cmdliner
 
+let proto_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (Spec.proto_of_string s)),
+      fun ppf p -> Format.pp_print_string ppf (Spec.proto_to_string p) )
+
+(* A size option ([-n], [-m], [--max-states]) in the range the job spec
+   admits. *)
+let size_conv key =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | None -> Error (`Msg (str "invalid value %S, expected an integer" s))
+        | Some v ->
+          Result.map_error
+            (fun e -> `Msg (Spec.range_message e))
+            (Spec.check_range key v)),
+      Format.pp_print_int )
+
 let proto_arg =
   Arg.(
     required
@@ -1614,12 +867,15 @@ let proto_arg =
         ~doc:"One of mutex, cmp-mutex, consensus, election, renaming, ccp.")
 
 let n_arg =
-  Arg.(value & opt int 2 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+  Arg.(
+    value
+    & opt (size_conv "n") 2
+    & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
 let m_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (size_conv "m")) None
     & info [ "m" ] ~docv:"M" ~doc:"Number of registers (protocol default).")
 
 let seed_arg =
@@ -1678,7 +934,7 @@ let no_canon_arg =
 let max_states_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (size_conv "max_states")) None
     & info [ "max-states" ] ~docv:"B"
         ~doc:
           "Truncate each exploration after $(i,B) states. The verdict then \
@@ -1725,11 +981,12 @@ let deadline_arg =
     & opt (some float) None
     & info [ "deadline" ] ~docv:"S"
         ~doc:
-          "Wall-clock budget: after $(i,S) seconds the explorer stops \
-           gracefully at the next generation boundary, flushes a snapshot \
-           (when snapshotting is on) and the command exits with status 6, \
-           so a scheduled run never overruns its slot. Continue with \
-           $(b,--resume).")
+          "Wall-clock budget for the whole invocation: after $(i,S) \
+           seconds the explorer stops gracefully at the next generation \
+           boundary, flushes a snapshot (when snapshotting is on) and the \
+           command exits with status 6, so a scheduled run never overruns \
+           its slot; a check attempts none of its remaining \
+           configurations. Continue with $(b,--resume).")
 
 let salvage_arg =
   Arg.(
@@ -1898,7 +1155,9 @@ let bench_cmd =
 let symmetry_cmd =
   let doc = "run the Theorem 3.4 lock-step symmetry adversary on Figure 1" in
   let m_pos =
-    Arg.(value & opt int 4 & info [ "m" ] ~docv:"M" ~doc:"Register count.")
+    Arg.(
+      value & opt (size_conv "m") 4
+      & info [ "m" ] ~docv:"M" ~doc:"Register count.")
   in
   Cmd.v
     (Cmd.info "symmetry" ~doc)
@@ -1907,7 +1166,9 @@ let symmetry_cmd =
 let covering_cmd =
   let doc = "run the §6 covering adversary against a protocol" in
   let m_pos =
-    Arg.(value & opt int 3 & info [ "m" ] ~docv:"M" ~doc:"Register count.")
+    Arg.(
+      value & opt (size_conv "m") 3
+      & info [ "m" ] ~docv:"M" ~doc:"Register count.")
   in
   Cmd.v
     (Cmd.info "covering" ~doc)
@@ -1977,7 +1238,7 @@ let fuzz_cmd =
   let n =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (size_conv "n")) None
       & info [ "n" ] ~docv:"N"
           ~doc:"Pin the process count (default: drawn from 2..3).")
   in

@@ -2095,8 +2095,8 @@ module Make (P : Protocol.PROTOCOL) = struct
        stamped into the returned statistics as [recoveries]. *)
     let rec go attempt resume =
       match run ~resume_from:resume ~snapshot_to with
-      | (g, stats)
-        when (not g.complete)
+      | (_, stats)
+        when (not stats.Checker_stats.complete)
              && (stats.Checker_stats.stop = Checker_stats.Oom
                 || stats.Checker_stats.stop = Checker_stats.Fault)
              && attempt < max_retries ->

@@ -271,17 +271,15 @@ module Make (P : Protocol.PROTOCOL) : sig
     ?max_retries:int ->
     ?resume_from:string ->
     snapshot_to:string ->
-    (resume_from:string option ->
-    snapshot_to:string ->
-    graph * Checker_stats.t) ->
-    graph * Checker_stats.t
+    (resume_from:string option -> snapshot_to:string -> 'a * Checker_stats.t) ->
+    'a * Checker_stats.t
   (** [with_recovery ~snapshot_to run] drives [run] to a verdict across
       transient infrastructure failures. [run] is invoked with the resume
       point to use (initially [?resume_from]) and must checkpoint to
       [snapshot_to]; when it raises a transient exception
       ({!Resilience.Killed}, {!Resilience.Stalled},
       {!Resilience.Io_fault}, [Out_of_memory], or a corrupt-snapshot
-      {!Snapshot.Error}) — or returns a result truncated by
+      {!Snapshot.Error}) — or returns statistics of a run truncated by
       {!Checker_stats.Oom}/{!Checker_stats.Fault} — the driver probes
       [snapshot_to] with {!Snapshot.read_salvaged} and re-runs from the
       newest loadable boundary (from scratch if none). [max_retries]
@@ -292,7 +290,9 @@ module Make (P : Protocol.PROTOCOL) : sig
       {!Checker_stats.t.recoveries}. Because resumption is exact, the
       final result is bit-identical to a fault-free run. The [run]
       callback should pass [~salvage:true] to its explorer so a damaged
-      snapshot tail rolls back rather than rejects. *)
+      snapshot tail rolls back rather than rejects. [run]'s first result
+      is passed through: a graph for the in-RAM explorers, [()] for
+      {!explore_external}, which returns statistics only. *)
 
   val solo_run :
     config ->

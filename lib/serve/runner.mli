@@ -1,15 +1,16 @@
 (** Job execution: one spec → one verdict, in preemptible slices.
 
-    A check job sweeps the same naming assignments as [coordctl check]
-    (all [m!] relative namings for [n = 2, m <= 5]; the rotation tuple
-    otherwise) and judges each explored graph with the same per-protocol
-    property set, so a serve verdict is exchangeable with a CLI exit
-    code. The job runs as a sequence of {e slices}: each slice explores
-    at most [quantum] fresh states of the current configuration, then
-    yields with a COORDSNAP snapshot on disk. Because a resumed
-    exploration is bit-identical to an uninterrupted one (DESIGN.md §6),
-    preemption is free — the final verdict and per-config stats (mod
-    clock) cannot depend on where the scheduler cut.
+    [coordctl check] runs this: it builds a {!Spec.t} from its flags and
+    calls {!run}, so a served verdict and a CLI exit code come from the
+    same loop over the same per-protocol definitions ({!Catalog}). A
+    check job sweeps {!Catalog.namings_under_test} and judges each
+    explored graph with the protocol's verdict set. In the daemon the
+    job runs as a sequence of {e slices}: each slice explores at most
+    [quantum] fresh states of the current configuration, then yields
+    with a COORDSNAP snapshot on disk. Because a resumed exploration is
+    bit-identical to an uninterrupted one (DESIGN.md §6), preemption is
+    free — the final verdict and per-config stats (mod clock) cannot
+    depend on where the scheduler cut.
 
     Fuzz and hunt jobs are not preemptible (their engines own their inner
     loop); they run in a single slice.
@@ -31,6 +32,10 @@ val verdict_exit : verdict -> int
     5 disagreement, 6 deadline, 7 failed. *)
 
 val verdict_tag : verdict -> string
+
+val render_verdicts : (string * bool) list -> string
+(** ["mutual-exclusion ok, deadlock-freedom VIOLATED"]: a verdict set as
+    a result detail and [coordctl check] line render it. *)
 
 type outcome = {
   verdict : verdict;
@@ -79,3 +84,46 @@ val run_slice :
     [explored = 0]. Transient infrastructure failures (armed
     {!Resilience} faults, OOM, corrupt snapshot) escape as exceptions —
     the {!Pool} owns the retry policy. *)
+
+(** One freshly explored configuration of a check, as {!run} reports it. *)
+type report = {
+  namings : Anonmem.Naming.t array;
+  complete : bool;
+  stats : Check.Checker_stats.t;
+  verdicts : (string * bool) list;  (** the protocol's verdict set *)
+  info : (string * string) list;
+      (** information-only columns (mutex starvation-freedom), computed
+          only for a report consumer *)
+}
+
+val run :
+  ?domains:int ->
+  ?snapshot_every:int ->
+  ?snapshot_dir:string ->
+  ?resume:string ->
+  ?salvage:bool ->
+  ?recover:bool ->
+  ?on_config:(report -> unit) ->
+  Spec.t ->
+  outcome
+(** Run a check job to completion in this process, with no quantum and
+    no cache ([spec.kind] is not consulted): the [coordctl check] entry
+    point. The spec's deadline bounds the whole run; on a deadline stop
+    the current configuration's snapshot is kept and the remaining
+    configurations are not attempted. The optional arguments carry [coordctl check]'s flags and default to
+    a served job's behaviour:
+    - [domains] ([--domains]): worker domains of the [Par] engine;
+    - [snapshot_every] ([--snapshot-every]): checkpoint cadence;
+    - [snapshot_dir] ([--snapshot-dir]): checkpoint configuration [i]
+      into [DIR/<P.name>-nN-mM-i.snap] (created if missing), kept after
+      the run;
+    - [resume] ([--resume]): continue the configuration whose
+      fingerprint matches this snapshot; raises {!Check.Snapshot.Error}
+      if the file is unreadable or, after the sweep, if no configuration
+      matched it;
+    - [salvage] ([--salvage]): roll a damaged snapshot tail back;
+    - [recover] ([--inject-faults]): retry transient infrastructure
+      failures from the newest checkpoint (needs [snapshot_dir]);
+    - [on_config]: called after each configuration is judged, with its
+      information-only columns computed.
+    Interrupted or degraded explorations count as truncated. *)

@@ -27,25 +27,46 @@ let default_m proto ~n =
   | Consensus | Election | Renaming -> (2 * n) - 1
   | Ccp -> 2
 
+type range_error = { key : string; value : int; least : int }
+
+let range_message e =
+  str "%s = %d is out of range (must be >= %d)" e.key e.value e.least
+
+let check_range key value =
+  let least = match key with "max_states" -> 0 | _ -> 1 in
+  if value < least then Error { key; value; least } else Ok value
+
+let validate t =
+  let ( let* ) = Result.bind in
+  let* _ = check_range "n" t.n in
+  let* _ = check_range "m" t.m in
+  let* _ =
+    match t.max_states with Some b -> check_range "max_states" b | None -> Ok 0
+  in
+  Ok t
+
 let make ?(n = 2) ?m ?(reduction = Check.Explore.Full) ?(engine = Seq)
     ?max_states ?deadline_s ?(priority = 0) ?attempts ?(seed = 1)
     ?(steps = 2000) ?(strategy = Check.Hunt.Bursts) kind proto =
   let m = match m with Some m -> m | None -> default_m proto ~n in
-  {
-    kind;
-    proto;
-    n;
-    m;
-    reduction;
-    engine;
-    max_states;
-    deadline_s;
-    priority;
-    attempts;
-    seed;
-    steps;
-    strategy;
-  }
+  let t =
+    {
+      kind;
+      proto;
+      n;
+      m;
+      reduction;
+      engine;
+      max_states;
+      deadline_s;
+      priority;
+      attempts;
+      seed;
+      steps;
+      strategy;
+    }
+  in
+  match validate t with Ok t -> t | Error e -> invalid_arg (range_message e)
 
 let kind_to_string = function
   | Check -> "check"
@@ -243,4 +264,5 @@ let parse s =
         compare (rank a) (rank b))
       kv
   in
-  fold base kv_n_first
+  let* spec = fold base kv_n_first in
+  Result.map_error range_message (validate spec)

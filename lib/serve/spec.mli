@@ -22,7 +22,9 @@ type t = {
   kind : kind;
   proto : proto;
   n : int;  (** processes (default 2) *)
-  m : int;  (** registers (default: per-protocol, as [coordctl check]) *)
+  m : int;
+      (** registers (default: {!default_m}); a fuzz job draws m per
+          attempt instead, as [coordctl fuzz] does without [-m] *)
   reduction : Check.Explore.reduction;
   engine : engine;  (** check jobs: which explorer runs the config *)
   max_states : int option;  (** per-configuration state budget *)
@@ -35,8 +37,24 @@ type t = {
 }
 
 val default_m : proto -> n:int -> int
-(** The [coordctl check] default register count: mutex 3, cmp-mutex 2,
-    consensus / election / renaming [2n-1], ccp 2. *)
+(** The default register count of every [coordctl] command and job:
+    mutex 3, cmp-mutex 2, consensus / election / renaming [2n-1], ccp 2. *)
+
+type range_error = { key : string; value : int; least : int }
+(** A size out of range: [key] (["n"], ["m"] or ["max_states"]) was
+    given [value], below its least admissible value [least]. *)
+
+val range_message : range_error -> string
+(** ["n = 0 is out of range (must be >= 1)"]. *)
+
+val check_range : string -> int -> (int, range_error) result
+(** [check_range key v] admits [v] for [key]: [n] and [m] must be at
+    least 1, [max_states] at least 0. The one definition of those ranges,
+    shared by {!make}, {!parse}, the sweep parser and [coordctl]'s
+    option converters. *)
+
+val validate : t -> (t, range_error) result
+(** [n], [m] and [max_states] in range. *)
 
 val make :
   ?n:int ->
@@ -53,6 +71,8 @@ val make :
   kind ->
   proto ->
   t
+(** Raises [Invalid_argument] ({!range_message}) when {!validate} refuses
+    the result. *)
 
 val kind_to_string : kind -> string
 val proto_to_string : proto -> string
@@ -74,7 +94,8 @@ val parse : string -> (t, string) result
 (** Parse a key=value document (or single line). Recognized keys: [kind],
     [proto], [n], [m], [reduction], [engine], [max_states], [deadline],
     [priority], [attempts], [seed], [steps], [strategy]. [kind] and
-    [proto] are required; anything unknown is an error. *)
+    [proto] are required; anything unknown is an error, and so is a size
+    {!validate} refuses. *)
 
 val kv_of_string : string -> ((string * string) list, string) result
 (** The underlying tokenizer: split lines, drop blanks and [#] comments,

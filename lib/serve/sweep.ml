@@ -70,6 +70,10 @@ let int_list k v =
       | None -> Error (str "%s: expected an integer, got %S" k s))
     (split_list v)
 
+(* sizes out of range are refused here, as Spec.parse refuses them *)
+let in_range k i = Result.map_error Spec.range_message (Spec.check_range k i)
+let sizes k v = Result.bind (int_list k v) (map_result (in_range k))
+
 let verdict_tags =
   [ "pass"; "violation"; "truncated"; "deadline"; "disagreement"; "failed" ]
 
@@ -89,11 +93,11 @@ let parse s =
     | None -> Error "missing required key: protocols"
     | Some v -> map_result Spec.proto_of_string (split_list v)
   in
-  let* ns = match find "n" with None -> Ok [ 2 ] | Some v -> int_list "n" v in
+  let* ns = match find "n" with None -> Ok [ 2 ] | Some v -> sizes "n" v in
   let* ms =
     match find "m" with
     | None -> Ok None
-    | Some v -> Result.map Option.some (int_list "m" v)
+    | Some v -> Result.map Option.some (sizes "m" v)
   in
   let* reductions =
     match find "reductions" with
@@ -149,6 +153,7 @@ let parse s =
       | None -> Error (str "%s: expected an integer, got %S" k v))
   in
   let* max_states = int_opt "max_states" in
+  let* _ = map_result (in_range "max_states") (Option.to_list max_states) in
   let* attempts = int_opt "attempts" in
   let* steps = int_opt "steps" in
   let* deadline_s =
@@ -243,8 +248,11 @@ let expand s =
     (fun proto ->
       List.iter
         (fun n ->
+          (* a fuzz job draws m per attempt: the m axis does not multiply *)
           let ms =
-            match s.ms with Some ms -> ms | None -> [ Spec.default_m proto ~n ]
+            match (s.kind, s.ms) with
+            | Spec.Check, Some ms | Spec.Hunt, Some ms -> ms
+            | _ -> [ Spec.default_m proto ~n ]
           in
           List.iter
             (fun m ->

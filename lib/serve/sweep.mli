@@ -37,7 +37,9 @@ type spec = {
   kind : Spec.kind;
   protos : Spec.proto list;
   ns : int list;
-  ms : int list option;  (** [None]: per-protocol default m *)
+  ms : int list option;
+      (** [None]: per-protocol default m; check/hunt axis (a fuzz job
+          draws m per attempt) *)
   reductions : Check.Explore.reduction list;
   engines : Spec.engine list;
   fault_seeds : int option list;  (** [None] = no fault plan *)

@@ -11,7 +11,10 @@
 #   leg 3  --deadline 0 stops gracefully at a generation boundary with
 #          exit 6 and a snapshot a later run resumes to the oracle;
 #   leg 4  a snapshot with a torn tail is rejected by a strict resume
-#          (exit 4) and salvaged by --salvage (exit 0, oracle graph).
+#          (exit 4) and salvaged by --salvage (exit 0, oracle graph);
+#   leg 5  --deadline bounds the whole invocation, not each
+#          configuration: a 120-configuration sweep under a short
+#          deadline exits 6 without checking every configuration.
 #
 # The whole campaign is replayable from its printed seed:
 #   RESILIENCE_SEED=N scripts/resilience_smoke.sh        (default 7)
@@ -96,5 +99,16 @@ grep -v '^throughput' "$tmp/oracle_x.txt" >"$tmp/oracle_x.flat"
 grep -v '^throughput' "$tmp/salvaged.txt" >"$tmp/salvaged.flat"
 diff -u "$tmp/oracle_x.flat" "$tmp/salvaged.flat" >&2 \
   || fail "salvaged resume differs from the uninterrupted oracle"
+
+# --- leg 5: the deadline bounds the whole sweep ------------------------
+# structural, not timed: a per-configuration deadline would print all
+# 120 naming lines (each configuration stopped at its own deadline)
+
+"$COORD" check mutex -m 5 --deadline 0.05 >"$tmp/ddl5.txt" 2>&1 \
+  && rc=0 || rc=$?
+[ "$rc" -eq 6 ] || fail "deadline-bounded sweep exited $rc (want 6)"
+lines=$(grep -c '^namings' "$tmp/ddl5.txt" || true)
+[ "$lines" -lt 120 ] \
+  || fail "deadline did not bound the sweep: $lines of 120 configurations checked"
 
 echo "resilience_smoke: OK (seed $SEED)"

@@ -11,6 +11,9 @@
 #   leg C  a known-violation spec (even m) must report exit 1, again
 #          agreeing with the direct CLI; a malformed spec must produce
 #          an .error file, not a wedged daemon;
+#   leg F  a served fuzz job agrees with the direct `coordctl fuzz`
+#          campaign of the same seed: same exit code, same agreed count
+#          (the fuzz counterpart of legs A and C);
 #   leg D  clean shutdown via the spool's shutdown file; then a sweep of
 #          examples/tiny.sweep must pass its regression gates.
 #
@@ -115,6 +118,25 @@ wait_result garbage
   || fail "even-m verdict $(field evenm verdict) (want violation)"
 [ -f "$spool/done/garbage.error" ] \
   || fail "malformed spec did not produce an .error file"
+
+# --- leg F: a served fuzz job agrees with the direct CLI ----------------
+
+submit fuzz 'kind = fuzz
+proto = mutex
+n = 2
+attempts = 50
+seed = 42'
+wait_result fuzz
+[ -f "$spool/done/fuzz.result" ] || fail "fuzz job errored"
+
+"$COORD" fuzz mutex -n 2 --attempts 50 --seed 42 >"$tmp/fuzz.txt" 2>&1 \
+  && direct_rc=0 || direct_rc=$?
+[ "$(field fuzz exit)" = "$direct_rc" ] \
+  || fail "served fuzz exit $(field fuzz exit) != direct fuzz exit $direct_rc"
+served_agreed=$(field fuzz detail | sed -n 's/.*agreed=\([0-9]*\).*/\1/p')
+direct_agreed=$(sed -n 's/.*agreed \([0-9]*\).*/\1/p' "$tmp/fuzz.txt" | head -n 1)
+[ -n "$served_agreed" ] && [ "$served_agreed" = "$direct_agreed" ] \
+  || fail "served fuzz agreed=$served_agreed != direct agreed $direct_agreed"
 
 # --- leg D: clean shutdown, then the example sweep ----------------------
 

@@ -102,9 +102,27 @@ let test_spec_roundtrip () =
            go 0)
       | Ok _ -> Alcotest.fail ("engine=" ^ e ^ " must not parse"))
     [ "sharded"; "barrier" ];
-  match Serve.Spec.parse "kind = check\nproto = mutex\nfrobnicate = 1" with
+  (match Serve.Spec.parse "kind = check\nproto = mutex\nfrobnicate = 1" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown key must not parse"
+  | Ok _ -> Alcotest.fail "unknown key must not parse");
+  (* out-of-range sizes are refused at the boundary, naming the key *)
+  List.iter
+    (fun (line, key) ->
+      match Serve.Spec.parse ("kind = check\nproto = mutex\n" ^ line) with
+      | Error msg ->
+        Alcotest.(check bool)
+          (line ^ " error names " ^ key)
+          true
+          (String.length msg > String.length key
+          && String.sub msg 0 (String.length key + 1) = key ^ " ")
+      | Ok _ -> Alcotest.fail (line ^ " must not parse"))
+    [ ("n = 0", "n"); ("m = 0", "m"); ("max_states = -5", "max_states") ];
+  Alcotest.(check bool) "max_states = 0 parses" true
+    (Result.is_ok
+       (Serve.Spec.parse "kind = check\nproto = mutex\nmax_states = 0"));
+  Alcotest.check_raises "make refuses n = 0"
+    (Invalid_argument "n = 0 is out of range (must be >= 1)") (fun () ->
+      ignore (Serve.Spec.make ~n:0 Serve.Spec.Check Serve.Spec.Mutex))
 
 (* ------------------------------ cache --------------------------------- *)
 
@@ -273,6 +291,75 @@ let test_repeat_served_from_cache () =
   let oc_ = finished_outcome "m=2" pool c in
   Alcotest.(check int) "different config misses the cache" 0
     oc_.Serve.Runner.cached_configs
+
+(* ------------- coordctl check runs the same loop (Runner.run) ---------- *)
+
+let test_run_matches_pool () =
+  (* the CLI entry point (no quantum, no cache) and a preempted served
+     job reach the same outcome, configuration for configuration *)
+  List.iter
+    (fun spec ->
+      let tag = Serve.Spec.ident spec in
+      let pool = Serve.Pool.create ~quantum:700 ~state_dir:(tmp_dir "run") () in
+      let id = Serve.Pool.submit pool spec in
+      Serve.Pool.drain pool;
+      let po = finished_outcome tag pool id in
+      let reports = ref [] in
+      let ro =
+        Serve.Runner.run ~on_config:(fun r -> reports := r :: !reports) spec
+      in
+      Alcotest.(check bool) (tag ^ ": same verdict") true
+        (ro.Serve.Runner.verdict = po.Serve.Runner.verdict);
+      Alcotest.(check string) (tag ^ ": same detail") po.Serve.Runner.detail
+        ro.Serve.Runner.detail;
+      Alcotest.(check int) (tag ^ ": same states") po.Serve.Runner.states
+        ro.Serve.Runner.states;
+      check_stats_list tag po.Serve.Runner.stats ro.Serve.Runner.stats;
+      let reports = List.rev !reports in
+      Alcotest.(check int) (tag ^ ": one report per config")
+        ro.Serve.Runner.configs (List.length reports);
+      List.iter
+        (fun (r : Serve.Runner.report) ->
+          Alcotest.(check bool) (tag ^ ": info columns for mutexes only")
+            (spec.Serve.Spec.proto = Serve.Spec.Mutex)
+            (r.Serve.Runner.info <> []))
+        reports)
+    [
+      spec_check ();
+      spec_check ~m:4 ();
+      spec_check ~max_states:500 ();
+      Serve.Spec.make Serve.Spec.Check Serve.Spec.Consensus;
+      Serve.Spec.make ~reduction:Check.Explore.Canon Serve.Spec.Check
+        Serve.Spec.Ccp;
+    ]
+
+let test_run_deadline_bounds_sweep () =
+  (* the deadline bounds the whole run: an expired one stops the first
+     configuration, keeps its checkpoint, and attempts no other; a
+     resume from that checkpoint completes to the uninterrupted result *)
+  let dir = tmp_dir "run-deadline" in
+  let reports = ref 0 in
+  let o =
+    Serve.Runner.run ~snapshot_dir:dir
+      ~on_config:(fun _ -> incr reports)
+      (spec_check ~deadline_s:0.0 ())
+  in
+  Alcotest.(check bool) "deadline verdict" true
+    (o.Serve.Runner.verdict = Serve.Runner.Deadline);
+  Alcotest.(check int) "one configuration attempted" 1 !reports;
+  let snap = Filename.concat dir "anonymous-mutex-fig1-n2-m3-1.snap" in
+  Alcotest.(check bool) "its checkpoint is kept" true (Sys.file_exists snap);
+  let resumed = Serve.Runner.run ~resume:snap (spec_check ()) in
+  let clean = Serve.Runner.run (spec_check ()) in
+  Alcotest.(check bool) "resume passes" true
+    (resumed.Serve.Runner.verdict = Serve.Runner.Pass);
+  check_stats_list "resumed vs uninterrupted" clean.Serve.Runner.stats
+    resumed.Serve.Runner.stats;
+  (* a snapshot of no configuration in the sweep is refused *)
+  match Serve.Runner.run ~resume:snap (spec_check ~m:4 ()) with
+  | _ -> Alcotest.fail "a foreign snapshot must be refused"
+  | exception
+      Check.Snapshot.Error (Check.Snapshot.Config_mismatch _) -> ()
 
 (* ------------------------ deadline and cancel ------------------------- *)
 
@@ -455,6 +542,10 @@ let suite =
       `Quick test_preempt_resume_bit_identity;
     Alcotest.test_case "repeat submission served from cache, 0 explored"
       `Quick test_repeat_served_from_cache;
+    Alcotest.test_case "run (coordctl check) = preempted pool job" `Quick
+      test_run_matches_pool;
+    Alcotest.test_case "run: the deadline bounds the whole sweep" `Quick
+      test_run_deadline_bounds_sweep;
     Alcotest.test_case "deadline exit path (6)" `Quick test_deadline_exit;
     Alcotest.test_case "cancel exit paths" `Quick test_cancel_paths;
     Alcotest.test_case "crash mid-job salvaged to the fault-free result"

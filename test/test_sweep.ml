@@ -68,6 +68,11 @@ let test_expand_deterministic_duplicate_free () =
   in
   Alcotest.(check int) "check collapses the seed axis" 1
     (List.length (Serve.Sweep.expand spec));
+  let spec =
+    parse_exn "name = s\nkind = fuzz\nprotocols = mutex\nm = 3, 4, 5\n"
+  in
+  Alcotest.(check int) "fuzz collapses the m axis" 1
+    (List.length (Serve.Sweep.expand spec));
   (* a fault axis IS a distinct cell even for an identical job spec *)
   let spec =
     parse_exn "name = f\nprotocols = mutex\nm = 2\nfaults = none, 42\n"
@@ -97,6 +102,9 @@ let test_parse_rejects () =
       ("unknown verdict tag", "protocols = mutex\nexpect = maybe\n");
       ("malformed line", "protocols = mutex\nnot a kv line\n");
       ("deleted engine", "protocols = mutex\nengines = seq, sharded\n");
+      ("n out of range", "protocols = mutex\nn = 2, 0\n");
+      ("m out of range", "protocols = mutex\nm = 0\n");
+      ("max_states out of range", "protocols = mutex\nmax_states = -5\n");
     ]
   in
   List.iter
